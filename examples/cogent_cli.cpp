@@ -561,11 +561,9 @@ int main(int Argc, char **Argv) {
   }
   if (ExplainRaces && !Quiet) {
     core::KernelPlan Plan(PlanTC, Result->best().Config);
-    analysis::RaceProverOptions RaceOpts;
-    RaceOpts.WarpSize = Device.WarpSize;
     std::fprintf(stderr, "%s\n",
-                 analysis::explainRaces(
-                     Plan, Result->best().Source.KernelSource, RaceOpts)
+                 analysis::explainRaces(Plan,
+                                        Result->best().Source.KernelSource)
                      .c_str());
   }
   if (ExplainDataflow && !Quiet) {

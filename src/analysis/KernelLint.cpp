@@ -37,11 +37,10 @@ COGENT_COUNTER(NumLintFindingsTotal, "lint.findings",
 //===----------------------------------------------------------------------===//
 
 constexpr const char *PassNames[NumLintPasses] = {
-    "structure",      "barrier-placement", "bank-conflict",
-    "coalescing",     "bounds-check",      "resource-decl",
-    "register-pressure", "redundant-barrier", "dead-store",
-    "smem-lifetime",  "uniformity",        "race-freedom",
-    "barrier-uniformity",
+    "structure",         "bank-conflict",     "coalescing",
+    "bounds-check",      "resource-decl",     "register-pressure",
+    "redundant-barrier", "dead-store",        "smem-lifetime",
+    "uniformity",        "race-freedom",      "barrier-uniformity",
 };
 
 constexpr const char *ModeNames[3] = {"off", "warn", "strict"};
@@ -748,206 +747,6 @@ void passBoundsCheck(LintContext &C) {
 }
 
 //===----------------------------------------------------------------------===//
-// BarrierPlacement pass
-//===----------------------------------------------------------------------===//
-
-struct SyncEvent {
-  enum Kind { Write, Read, Barrier, FlipBuf } K = Write;
-  std::string Array;
-  int BufSign = 0; ///< 0 whole-array, +1 front (buf), -1 back (1-buf).
-  bool DivergentBarrier = false;
-  unsigned Line = 0;
-};
-
-void collectSyncEvents(const LintContext &C, const std::vector<Stmt> &Body,
-                       const std::set<std::string> &Div, bool Divergent,
-                       std::vector<SyncEvent> &Out) {
-  auto refsDivergent = [&](const Expr &E) {
-    std::vector<std::string> Vars;
-    collectVars(E, Vars);
-    for (const std::string &V : Vars)
-      if (Div.count(V))
-        return true;
-    return false;
-  };
-  auto bufSign = [&](const Expr &Index) {
-    std::optional<IndexForm> Form = linearizeIndex(Index, C.Ambient);
-    if (!Form)
-      return 0;
-    std::optional<int64_t> Coeff = Form->coeff("buf");
-    if (!Coeff)
-      return 0;
-    return *Coeff > 0 ? 1 : -1;
-  };
-  for (const Stmt &S : Body) {
-    switch (S.Kind) {
-    case StmtKind::Barrier:
-      Out.push_back({SyncEvent::Barrier, "", 0, Divergent, S.Line});
-      break;
-    case StmtKind::Assign:
-      if (S.Name == "buf")
-        Out.push_back({SyncEvent::FlipBuf, "", 0, false, S.Line});
-      break;
-    case StmtKind::ArrayStore: {
-      if (smemOperand(S.Name))
-        Out.push_back(
-            {SyncEvent::Write, S.Name, bufSign(S.Index), false, S.Line});
-      forEachIndexExpr(S.Value, [&](const Expr &Ref) {
-        if (smemOperand(Ref.Name))
-          Out.push_back({SyncEvent::Read, Ref.Name, bufSign(Ref.Kids[0]),
-                         false, S.Line});
-      });
-      break;
-    }
-    case StmtKind::Loop: {
-      bool LoopDivergent =
-          Divergent || refsDivergent(S.LoopInit) ||
-          refsDivergent(S.LoopBound) || refsDivergent(S.LoopStep);
-      if (S.LoopVar == "step") {
-        // Two abstract iterations expose write-after-read races across the
-        // step boundary (the loop-carried dependence the second barrier
-        // protects).
-        std::vector<SyncEvent> Once;
-        collectSyncEvents(C, S.Body, Div, LoopDivergent, Once);
-        Out.insert(Out.end(), Once.begin(), Once.end());
-        Out.insert(Out.end(), Once.begin(), Once.end());
-      } else {
-        collectSyncEvents(C, S.Body, Div, LoopDivergent, Out);
-      }
-      break;
-    }
-    case StmtKind::If:
-      collectSyncEvents(C, S.Body, Div, Divergent || refsDivergent(S.Value),
-                        Out);
-      break;
-    case StmtKind::Block:
-      collectSyncEvents(C, S.Body, Div, Divergent, Out);
-      break;
-    default:
-      break;
-    }
-  }
-}
-
-std::set<std::string> divergentVars(const KernelModel &M) {
-  std::set<std::string> Div = {"tid", "threadIdx.x", "threadIdx.y",
-                               "get_local_id(0)", "get_local_id(1)"};
-  std::function<void(const std::vector<Stmt> &)> Walk =
-      [&](const std::vector<Stmt> &Body) {
-        auto refs = [&](const Expr &E) {
-          std::vector<std::string> Vars;
-          collectVars(E, Vars);
-          for (const std::string &V : Vars)
-            if (Div.count(V))
-              return true;
-          return false;
-        };
-        for (const Stmt &S : Body) {
-          if ((S.Kind == StmtKind::Decl || S.Kind == StmtKind::Assign) &&
-              refs(S.Value))
-            Div.insert(S.Name);
-          if ((S.Kind == StmtKind::CompoundMul ||
-               S.Kind == StmtKind::CompoundDiv) &&
-              Div.count(S.Name))
-            Div.insert(S.Name);
-          if (S.Kind == StmtKind::Loop &&
-              (refs(S.LoopInit) || refs(S.LoopBound) || refs(S.LoopStep)))
-            Div.insert(S.LoopVar);
-          Walk(S.Body);
-        }
-      };
-  // Two sweeps so definitions that precede their divergent source in the
-  // walk order (there are none in the emitted schema, but mutations can
-  // reorder) still converge.
-  Walk(M.Body);
-  Walk(M.Body);
-  return Div;
-}
-
-void passBarrierPlacement(LintContext &C) {
-  if (C.M.SharedDecls.empty())
-    return; // No SMEM, no races.
-  std::set<std::string> Div = divergentVars(C.M);
-  std::vector<SyncEvent> Events;
-  collectSyncEvents(C, C.M.Body, Div, false, Events);
-
-  // Slot model: front = phase, back = 1 - phase; FlipBuf toggles phase.
-  // Single-buffer accesses (BufSign 0) cover the whole array.
-  int Phase = 0;
-  struct Pending {
-    bool Slot[3] = {false, false, false}; ///< [0], [1], whole-array.
-    unsigned Line[3] = {0, 0, 0};
-    void clear() { Slot[0] = Slot[1] = Slot[2] = false; }
-    void mark(int Index, unsigned L) {
-      Slot[Index] = true;
-      Line[Index] = L;
-    }
-    /// Whether an access to \p Index overlaps anything pending.
-    std::optional<unsigned> overlaps(int Index) const {
-      if (Slot[2])
-        return Line[2];
-      if (Index == 2) {
-        if (Slot[0])
-          return Line[0];
-        if (Slot[1])
-          return Line[1];
-        return std::nullopt;
-      }
-      if (Slot[Index])
-        return Line[Index];
-      return std::nullopt;
-    }
-  };
-  std::map<std::string, Pending> Writes, Reads;
-  std::set<unsigned> ReportedBarriers;
-
-  auto slotOf = [&](int BufSign) {
-    if (BufSign == 0)
-      return 2;
-    return BufSign > 0 ? Phase : 1 - Phase;
-  };
-
-  for (const SyncEvent &E : Events) {
-    switch (E.K) {
-    case SyncEvent::FlipBuf:
-      Phase = 1 - Phase;
-      break;
-    case SyncEvent::Barrier:
-      if (E.DivergentBarrier) {
-        if (ReportedBarriers.insert(E.Line).second)
-          C.report(LintPass::BarrierPlacement, E.Line,
-                   "barrier sits under thread-divergent control flow "
-                   "(deadlock on devices without independent thread "
-                   "scheduling)");
-        break; // A divergent barrier synchronizes nothing.
-      }
-      Writes.clear();
-      Reads.clear();
-      break;
-    case SyncEvent::Write: {
-      int Slot = slotOf(E.BufSign);
-      if (std::optional<unsigned> At = Reads[E.Array].overlaps(Slot))
-        C.report(LintPass::BarrierPlacement, E.Line,
-                 "staging write to " + E.Array + " races the read at line " +
-                     std::to_string(*At) + " (no barrier between them)");
-      Writes[E.Array].mark(Slot, E.Line);
-      break;
-    }
-    case SyncEvent::Read: {
-      int Slot = slotOf(E.BufSign);
-      if (std::optional<unsigned> At = Writes[E.Array].overlaps(Slot))
-        C.report(LintPass::BarrierPlacement, E.Line,
-                 "read of " + E.Array +
-                     " may observe the in-flight write at line " +
-                     std::to_string(*At) + " (no barrier between them)");
-      Reads[E.Array].mark(Slot, E.Line);
-      break;
-    }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Dataflow-backed passes — RegisterPressure, RedundantBarrier, DeadStore
 // and SmemLifetime all consume one shared KernelDataflow build.
 //===----------------------------------------------------------------------===//
@@ -1015,13 +814,11 @@ void passSmemLifetime(LintContext &C, const DataflowInfo &Flow) {
 }
 
 //===----------------------------------------------------------------------===//
-// Race prover passes (11-13): Uniformity / RaceFreedom / BarrierUniformity
+// Race prover passes (10-12): Uniformity / RaceFreedom / BarrierUniformity
 //===----------------------------------------------------------------------===//
 
 void passRaceProver(LintContext &C, const DataflowInfo &Flow) {
-  RaceProverOptions Opts;
-  Opts.WarpSize = C.Opts.WarpSize;
-  RaceReport Report = proveRaces(C.Plan, C.M, Flow, Opts);
+  RaceReport Report = proveRaces(C.Plan, C.M, Flow);
   for (const RaceFinding &F : Report.Findings) {
     LintPass Pass = LintPass::RaceFreedom;
     LintSeverity Severity = LintSeverity::Error;
@@ -1129,7 +926,6 @@ LintReport cogent::analysis::lintKernel(const KernelPlan &Plan,
 
   LintContext Ctx{Plan, *Model, Options, Report.Findings,
                   buildAmbient(Plan, *Model)};
-  passBarrierPlacement(Ctx);
   passBankConflict(Ctx);
   passCoalescing(Ctx);
   passBoundsCheck(Ctx);

@@ -112,13 +112,6 @@ std::string cogent::analysis::renderExpr(const Expr &E) {
   return "?";
 }
 
-std::optional<int64_t> IndexForm::coeff(const std::string &Coord) const {
-  for (const IndexTerm &T : Terms)
-    if (T.Coord == Coord)
-      return T.Coeff;
-  return std::nullopt;
-}
-
 namespace {
 
 void addTerm(IndexForm &F, const std::string &Coord, int64_t Coeff) {

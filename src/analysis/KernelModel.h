@@ -101,9 +101,6 @@ struct IndexTerm {
 struct IndexForm {
   std::vector<IndexTerm> Terms;
   int64_t Constant = 0;
-
-  /// The coefficient of \p Coord, or std::nullopt when absent.
-  std::optional<int64_t> coeff(const std::string &Coord) const;
 };
 
 /// Flattens \p E into coefficient * coordinate terms, evaluating whatever

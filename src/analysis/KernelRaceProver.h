@@ -6,13 +6,13 @@
 ///
 /// \file
 /// KernelRaceProver: a GPUVerify-style symbolic two-thread abstraction over
-/// the KernelModel statement tree of one emitted kernel. Where the
-/// BarrierPlacement pass replays a flow-sensitive trace of whole-array
-/// access events, this layer reasons about *addresses*: it proves, for two
-/// arbitrary distinct threads of the same block, that no pair of shared- or
-/// global-memory accesses inside the same barrier interval can touch the
-/// same element — or produces a concrete witness (thread pair + coordinate
-/// vector + address) when they can.
+/// the KernelModel statement tree of one emitted kernel, and the lint
+/// gate's only barrier oracle. It reasons about *addresses*: it proves,
+/// for two arbitrary distinct threads of the same block, that no pair of
+/// shared- or global-memory accesses inside the same barrier interval can
+/// touch the same element — or produces a concrete witness (thread pair +
+/// coordinate vector + address) when they can. A missing barrier therefore
+/// surfaces as a race between the accesses it used to separate.
 ///
 /// Three analyses share the machinery:
 ///
@@ -37,9 +37,10 @@
 ///     test on the coefficient lattice, a mixed-radix injectivity argument
 ///     (sorted-stride packing plus a bijective thread decode implies same
 ///     address => same thread), and finally a bounded concrete enumeration
-///     that either proves the pair disjoint or yields a witness. Write-read
-///     pairs between distinct statements whose colliding threads all share
-///     a warp are suppressed (intra-warp lockstep ordering).
+///     that either proves the pair disjoint or yields a witness. No
+///     ordering is assumed between the threads of one warp: devices with
+///     independent thread scheduling (Volta) do not run a warp in
+///     lockstep, so any two distinct threads may collide.
 ///
 ///   Barrier divergence. Every barrier must sit under uniform control
 ///     only: each enclosing guard condition and loop header is classified
@@ -47,7 +48,7 @@
 ///     a finding (a divergent barrier deadlocks devices without
 ///     independent thread scheduling and synchronizes nothing).
 ///
-/// KernelLint surfaces the three analyses as passes 11-13 (uniformity,
+/// KernelLint surfaces the three analyses as passes 10-12 (uniformity,
 /// race-freedom, barrier-uniformity); explainRaces() renders the full
 /// derivation for cogent_cli --explain-races.
 ///
@@ -191,8 +192,6 @@ bool replayWitness(const RaceFinding &F);
 //===----------------------------------------------------------------------===//
 
 struct RaceProverOptions {
-  /// Threads per warp for the intra-warp lockstep relaxation.
-  unsigned WarpSize = 32;
   /// Abort bounded enumeration past this many evaluated assignments per
   /// access pair (an UnprovenAccess warning is reported instead).
   uint64_t EnumerationCap = 1u << 20;
@@ -211,7 +210,6 @@ struct RaceReport {
   unsigned ProvedByGcd = 0;        ///< GCD divisibility refutation.
   unsigned ProvedByInjectivity = 0;///< Mixed-radix packing argument.
   unsigned ProvedByEnumeration = 0;///< Exhaustive bounded enumeration.
-  unsigned LockstepSuppressed = 0; ///< W/R pairs ordered by warp lockstep.
 
   /// True when no finding of the given kind exists.
   bool raceFree() const {

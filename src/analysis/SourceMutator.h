@@ -27,7 +27,7 @@ namespace analysis {
 /// The targeted corruptions. Grouped by the lint pass expected to catch
 /// each (see tests/test_kernel_lint.cpp for the kill matrix).
 enum class MutationKind : unsigned {
-  // BarrierPlacement kills.
+  // RaceFreedom (drop) and BarrierUniformity (divergent) kills.
   DropFirstBarrier,       ///< Delete the first barrier statement.
   DropSecondBarrier,      ///< Delete the last barrier statement.
   DivergentBarrier,       ///< Wrap the first barrier in `if (tid == 0)`.

@@ -77,10 +77,10 @@ Corpus makeCorpus() {
 /// was designed to trip; other passes may fire too).
 const std::vector<std::pair<MutationKind, LintPass>> &killMatrix() {
   static const std::vector<std::pair<MutationKind, LintPass>> Matrix = {
-      {MutationKind::DropFirstBarrier, LintPass::BarrierPlacement},
-      {MutationKind::DropSecondBarrier, LintPass::BarrierPlacement},
-      {MutationKind::DivergentBarrier, LintPass::BarrierPlacement},
-      {MutationKind::DivergentBarrierThread, LintPass::BarrierPlacement},
+      {MutationKind::DropFirstBarrier, LintPass::RaceFreedom},
+      {MutationKind::DropSecondBarrier, LintPass::RaceFreedom},
+      {MutationKind::DivergentBarrier, LintPass::BarrierUniformity},
+      {MutationKind::DivergentBarrierThread, LintPass::BarrierUniformity},
       {MutationKind::SkewSmemReadStride, LintPass::BankConflict},
       {MutationKind::SkewSmemWriteStride, LintPass::BankConflict},
       {MutationKind::DropSmemTerm, LintPass::BankConflict},
@@ -164,11 +164,11 @@ TEST(KernelLint, MutationCorpusKillMatrix) {
   // Each semantic pass must have at least three distinct kills, so one
   // broken transform cannot mask a pass that stopped firing.
   for (LintPass Pass :
-       {LintPass::BarrierPlacement, LintPass::BankConflict,
-        LintPass::Coalescing, LintPass::BoundsCheck, LintPass::ResourceDecl,
-        LintPass::RegisterPressure, LintPass::RedundantBarrier,
-        LintPass::DeadStore, LintPass::SmemLifetime, LintPass::Uniformity,
-        LintPass::RaceFreedom, LintPass::BarrierUniformity})
+       {LintPass::BankConflict, LintPass::Coalescing, LintPass::BoundsCheck,
+        LintPass::ResourceDecl, LintPass::RegisterPressure,
+        LintPass::RedundantBarrier, LintPass::DeadStore,
+        LintPass::SmemLifetime, LintPass::Uniformity, LintPass::RaceFreedom,
+        LintPass::BarrierUniformity})
     EXPECT_GE(KillsPerPass[Pass], 3u) << analysis::lintPassName(Pass);
 }
 

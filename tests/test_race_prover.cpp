@@ -7,6 +7,7 @@
 // The symbolic two-thread race & barrier-divergence analyzer:
 //  - uniformity (taint) classes on the corpus kernel,
 //  - the full TCCG suite proves race- and divergence-clean on both devices,
+//    and its dropped/divergent-barrier mutants are caught on both,
 //  - each race-seeding MutationKind is killed by its prover analysis and
 //    every reported race carries a witness that replays,
 //  - explainRaces renders the derivation, lintKernel surfaces the passes.
@@ -79,6 +80,20 @@ bool hasKind(const RaceReport &R, RaceFindingKind Kind) {
   return false;
 }
 
+/// Every reported race must carry a witness that replays to a true
+/// same-address, different-thread access under the recorded forms.
+void expectWitnessesReplay(const RaceReport &R, const std::string &Where) {
+  for (const RaceFinding &F : R.Findings) {
+    if (F.Kind != RaceFindingKind::WriteWriteRace &&
+        F.Kind != RaceFindingKind::WriteReadRace)
+      continue;
+    ASSERT_TRUE(F.Witness.has_value()) << Where << ": " << F.render();
+    EXPECT_TRUE(analysis::replayWitness(F)) << Where << ": " << F.render();
+    EXPECT_NE(F.Witness->Thread1, F.Witness->Thread2)
+        << Where << ": " << F.render();
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -129,8 +144,7 @@ TEST(RaceProver, CorpusKernelProvesRaceFree) {
   // The emitted layouts are proved by the analytic arguments, not by
   // falling through to bounded enumeration.
   EXPECT_EQ(R.PairsChecked, R.ProvedByInterval + R.ProvedByGcd +
-                                R.ProvedByInjectivity + R.ProvedByEnumeration +
-                                R.LockstepSuppressed)
+                                R.ProvedByInjectivity + R.ProvedByEnumeration)
       << renderAll(R);
 }
 
@@ -139,6 +153,18 @@ TEST(RaceProver, TccgSuiteRaceAndDivergenceCleanOnBothDevices) {
   // emission must prove race- and divergence-free with zero findings of
   // any kind (warnings here would mean the solver lost precision on
   // layouts the emitter legitimately produces).
+  //
+  // The same kernels, mutated, must not: the prover is the only barrier
+  // oracle, so a dropped barrier must surface as a race between two
+  // distinct threads — including on single-warp blocks, since Volta does
+  // not run a warp in lockstep — and a divergent one as a divergence.
+  const std::pair<MutationKind, RaceFindingKind> BarrierKills[] = {
+      {MutationKind::DropFirstBarrier, RaceFindingKind::WriteReadRace},
+      {MutationKind::DropSecondBarrier, RaceFindingKind::WriteReadRace},
+      {MutationKind::DivergentBarrier, RaceFindingKind::DivergentBarrier},
+      {MutationKind::DivergentBarrierThread,
+       RaceFindingKind::DivergentBarrier},
+  };
   for (const gpu::DeviceSpec &Device : {gpu::makeP100(), gpu::makeV100()}) {
     core::Cogent Generator(Device);
     core::CogentOptions Options;
@@ -151,9 +177,23 @@ TEST(RaceProver, TccgSuiteRaceAndDivergenceCleanOnBothDevices) {
                                 ? *Result->FallbackContraction
                                 : Entry.contraction(),
                             Result->best().Config);
-      RaceReport R = prove(Plan, Result->best().Source.KernelSource);
+      const std::string &Source = Result->best().Source.KernelSource;
+      RaceReport R = prove(Plan, Source);
       EXPECT_TRUE(R.Findings.empty())
           << Entry.Name << " on " << Device.Name << ":\n" << renderAll(R);
+
+      for (const auto &[Kind, Expected] : BarrierKills) {
+        std::string Where = Entry.Name + " on " + Device.Name + ", " +
+                            analysis::mutationKindName(Kind);
+        std::string Mutated = analysis::applyMutation(Source, Kind);
+        ASSERT_NE(Mutated, Source) << Where << ": pattern absent";
+        RaceReport M = prove(Plan, Mutated);
+        EXPECT_TRUE(hasKind(M, Expected))
+            << Where << " expected a "
+            << analysis::raceFindingKindName(Expected) << " finding, got:\n"
+            << renderAll(M);
+        expectWitnessesReplay(M, Where);
+      }
     }
   }
 }
@@ -212,16 +252,7 @@ TEST(RaceProver, MutationCorpusKillsEveryAnalysis) {
     default:
       break;
     }
-    // Every reported race must carry a witness that replays to a true
-    // same-address, different-thread access under the recorded forms.
-    for (const RaceFinding &F : R.Findings) {
-      if (F.Kind != RaceFindingKind::WriteWriteRace &&
-          F.Kind != RaceFindingKind::WriteReadRace)
-        continue;
-      ASSERT_TRUE(F.Witness.has_value()) << F.render();
-      EXPECT_TRUE(analysis::replayWitness(F)) << F.render();
-      EXPECT_NE(F.Witness->Thread1, F.Witness->Thread2) << F.render();
-    }
+    expectWitnessesReplay(R, analysis::mutationKindName(Kind));
   }
   // >= 3 distinct kills per analysis, so one broken transform cannot mask
   // an analysis that stopped firing.
@@ -234,12 +265,11 @@ TEST(RaceProver, MutationCorpusKillsEveryAnalysis) {
 // Lint surface and rendering
 //===----------------------------------------------------------------------===//
 
-TEST(RaceProver, LintSurfacesProverFindingsAsPasses11To13) {
+TEST(RaceProver, LintSurfacesProverFindingsAsPasses10To12) {
   using analysis::LintPass;
   EXPECT_TRUE(analysis::isRacePass(LintPass::Uniformity));
   EXPECT_TRUE(analysis::isRacePass(LintPass::RaceFreedom));
   EXPECT_TRUE(analysis::isRacePass(LintPass::BarrierUniformity));
-  EXPECT_FALSE(analysis::isRacePass(LintPass::BarrierPlacement));
   EXPECT_FALSE(analysis::isRacePass(LintPass::Structure));
 
   Corpus C = makeCorpus();

@@ -86,7 +86,7 @@ const char *const StatKeys[] = {
 
 /// Top-level numeric keys a report must carry. race_findings /
 /// race_rejections are the race-prover lint totals across the run
-/// (KernelLint passes 11-13); findings may include benign warnings but a
+/// (KernelLint passes 10-12); findings may include benign warnings but a
 /// rejection means the strict gate threw away a kernel for a proven race
 /// or divergent barrier, which the TCCG suite must never produce.
 const char *const NumberKeys[] = {
