@@ -68,13 +68,30 @@ void BM_CostModelSingleConfig(benchmark::State &State) {
   ir::Contraction TC = entryContraction(31);
   core::Enumerator Enum(TC, Device);
   std::vector<core::KernelConfig> Configs = Enum.enumerate();
-  core::KernelPlan Plan(TC, Configs.front());
   for (auto _ : State) {
-    core::TransactionCost Cost = core::estimateTransactions(Plan, 8);
+    core::TransactionCost Cost =
+        core::estimateTransactions(TC, Configs.front(), 8);
     benchmark::DoNotOptimize(Cost);
   }
 }
 BENCHMARK(BM_CostModelSingleConfig);
+
+// generate()'s ranking pass alone: fit check, Algorithm-3 cost, cost check
+// and occupancy for every SD2_1 survivor, then the sort.
+void BM_RankSd2_1(benchmark::State &State) {
+  gpu::DeviceSpec Device = gpu::makeV100();
+  ir::Contraction TC = entryContraction(31);
+  core::Enumerator Enum(TC, Device);
+  std::vector<core::KernelConfig> Configs = Enum.enumerate();
+  verify::PlanVerifier Verifier(Device, 8);
+  for (auto _ : State) {
+    std::vector<core::ScoredConfig> Ranking = core::rankConfigs(
+        TC, Configs, Verifier, /*PressureAware=*/false, [](const Error &) {});
+    benchmark::DoNotOptimize(Ranking);
+  }
+  State.counters["candidates"] = static_cast<double>(Configs.size());
+}
+BENCHMARK(BM_RankSd2_1)->Unit(benchmark::kMillisecond);
 
 void BM_EmitCudaSd2_1(benchmark::State &State) {
   gpu::DeviceSpec Device = gpu::makeV100();

@@ -87,21 +87,23 @@ ctest --test-dir build-asan -R test_fuzz_pipeline --output-on-failure \
   2>&1 | tee asan_output.txt
 
 # ThreadSanitizer lane for the concurrent service layer: the worker pool,
-# sharded cache, telemetry registry and counter scopes re-run instrumented
-# so cross-thread ordering bugs surface as TSan reports instead of flaky
-# tests. Skips gracefully when the toolchain cannot link TSan binaries
-# (minimal containers ship no libtsan) — probe first, never half-fail.
+# sharded cache, telemetry registry, counter scopes and concurrent trace
+# spans (test_observability) re-run instrumented so cross-thread ordering
+# bugs surface as TSan reports instead of flaky tests. Skips gracefully
+# when the toolchain cannot link TSan binaries (minimal containers ship no
+# libtsan) — probe first, never half-fail.
 if echo 'int main(){return 0;}' > /tmp/tsan_probe.cpp \
     && c++ -fsanitize=thread /tmp/tsan_probe.cpp -o /tmp/tsan_probe \
        >/dev/null 2>&1; then
   rm -f /tmp/tsan_probe /tmp/tsan_probe.cpp
   configure build-tsan -DCOGENT_SANITIZE=thread
   cmake --build build-tsan --target test_service test_service_chaos \
-    test_telemetry 2>/dev/null \
-    || cmake --build build-tsan --target test_service test_telemetry
-  ctest --test-dir build-tsan -R 'test_service|test_telemetry' \
+    test_telemetry test_observability 2>/dev/null \
+    || cmake --build build-tsan --target test_service test_telemetry \
+         test_observability
+  ctest --test-dir build-tsan -R 'test_service|test_telemetry|test_observability' \
     --output-on-failure 2>&1 | tee tsan_output.txt
-  echo "tsan lane: service tests clean under ThreadSanitizer"
+  echo "tsan lane: service and trace tests clean under ThreadSanitizer"
 else
   rm -f /tmp/tsan_probe /tmp/tsan_probe.cpp
   echo "tsan lane: skipped (toolchain cannot link -fsanitize=thread)"

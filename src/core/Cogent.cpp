@@ -9,7 +9,6 @@
 #include "analysis/KernelLint.h"
 #include "core/KernelPlan.h"
 #include "support/JsonWriter.h"
-#include "verify/PlanVerifier.h"
 
 #include <algorithm>
 #include <chrono>
@@ -122,6 +121,79 @@ Contraction buildTtgtGemm(const Contraction &TC) {
 
 } // namespace
 
+std::vector<ScoredConfig> cogent::core::rankConfigs(
+    const Contraction &TC, const std::vector<KernelConfig> &Candidates,
+    const verify::PlanVerifier &Verifier, bool PressureAware,
+    const std::function<void(const Error &)> &OnReject) {
+  // What the sort moves: small and trivially copyable. Slot follows
+  // candidate order and breaks the last tie, so the order equals a stable
+  // sort by (fit, cost, occupancy, threads).
+  struct Key {
+    /// RankOcc.BlocksPerSM == 0: pressure-aware mode sinks these.
+    bool Unfit;
+    double Cost;
+    /// RankOcc.Occupancy.
+    double Occupancy;
+    int64_t Threads;
+    uint32_t Slot;
+  };
+  constexpr unsigned CostRetries = 4;
+  const unsigned ElementSize = Verifier.elementSize();
+  const gpu::DeviceSpec &Device = Verifier.device();
+  const double LowerBound = verify::transactionLowerBound(
+      TC, ElementSize, Device.TransactionBytes);
+  std::vector<Key> Keys;
+  std::vector<ScoredConfig> Scores;
+  Keys.reserve(Candidates.size());
+  Scores.reserve(Candidates.size());
+  for (size_t I = 0; I < Candidates.size(); ++I) {
+    const KernelConfig &Config = Candidates[I];
+    ErrorOr<gpu::OccupancyResult> Fit = Verifier.verifyFit(Config);
+    if (!Fit) {
+      OnReject(Fit.error());
+      continue;
+    }
+    // A failed cost-sanity check re-estimates: a transiently lying cost
+    // model costs retries, not the candidate.
+    TransactionCost Cost;
+    bool CostOk = false;
+    for (unsigned Attempt = 0; Attempt < CostRetries && !CostOk; ++Attempt) {
+      Cost = estimateTransactions(TC, Config, ElementSize,
+                                  Device.TransactionBytes);
+      ErrorOr<void> CostCheck = Verifier.verifyCost(Cost, LowerBound);
+      CostOk = CostCheck.hasValue();
+      if (!CostOk)
+        OnReject(CostCheck.error());
+    }
+    if (!CostOk)
+      continue;
+    gpu::OccupancyResult RankOcc =
+        PressureAware
+            ? planOccupancyUnderPressure(TC, Config, Device, ElementSize)
+            : *Fit;
+    Keys.push_back({RankOcc.BlocksPerSM == 0, Cost.total(),
+                    RankOcc.Occupancy, Config.threadsPerBlock(),
+                    static_cast<uint32_t>(Scores.size())});
+    Scores.push_back({I, Cost, *Fit});
+  }
+  std::sort(Keys.begin(), Keys.end(), [](const Key &X, const Key &Y) {
+    if (X.Unfit != Y.Unfit)
+      return Y.Unfit;
+    if (X.Cost != Y.Cost)
+      return X.Cost < Y.Cost;
+    if (X.Occupancy != Y.Occupancy)
+      return X.Occupancy > Y.Occupancy;
+    if (X.Threads != Y.Threads)
+      return X.Threads > Y.Threads;
+    return X.Slot < Y.Slot;
+  });
+  std::vector<ScoredConfig> Ranking;
+  Ranking.reserve(Keys.size());
+  for (const Key &K : Keys)
+    Ranking.push_back(Scores[K.Slot]);
+  return Ranking;
+}
+
 ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
                                            CogentOptions Options) const {
   auto Start = std::chrono::steady_clock::now();
@@ -203,71 +275,14 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     support::traceInstant("cogent.verifier-reject", {{"error", E.message()}});
   };
 
-  struct Ranked {
-    KernelConfig Config;
-    TransactionCost Cost;
-    gpu::OccupancyResult Occ;
-    /// Occupancy under planRegisterPressure; equals Occ unless
-    /// PressureAwareRanking recomputed it.
-    gpu::OccupancyResult RankOcc;
-  };
-
-  // Rank the candidates that pass verification by modeled DRAM
-  // transactions; tie-break toward higher occupancy, then more threads
-  // (determinism). A failed cost-sanity check re-estimates (a transiently
-  // lying cost model costs retries, not the candidate); a failed plan
-  // check drops the candidate outright.
-  auto rankVerified = [&](std::vector<KernelConfig> &Candidates,
-                          const Contraction &RankTC) {
+  auto rank = [&](const std::vector<KernelConfig> &Candidates,
+                  const Contraction &RankTC) {
     support::TraceSpan Span("cogent.rank");
     Span.arg("candidates", std::to_string(Candidates.size()));
     NumKernelsRanked += Candidates.size();
-    constexpr unsigned CostRetries = 4;
-    std::vector<Ranked> Ranking;
-    Ranking.reserve(Candidates.size());
-    for (KernelConfig &Config : Candidates) {
-      KernelPlan Plan(RankTC, Config);
-      if (ErrorOr<void> PlanCheck = Verifier.verifyPlan(Plan); !PlanCheck) {
-        NoteRejection(PlanCheck.error());
-        continue;
-      }
-      Ranked R;
-      bool CostOk = false;
-      for (unsigned Attempt = 0; Attempt < CostRetries && !CostOk;
-           ++Attempt) {
-        R.Cost = estimateTransactions(Plan, Options.ElementSize,
-                                      Run.TransactionBytes);
-        ErrorOr<void> CostCheck = Verifier.verifyCost(Plan, R.Cost);
-        CostOk = CostCheck.hasValue();
-        if (!CostOk)
-          NoteRejection(CostCheck.error());
-      }
-      if (!CostOk)
-        continue;
-      R.Occ = planOccupancy(Plan, Run, Options.ElementSize);
-      R.RankOcc = Options.PressureAwareRanking
-                      ? planOccupancyUnderPressure(Plan, Run,
-                                                   Options.ElementSize)
-                      : R.Occ;
-      R.Config = std::move(Config);
-      Ranking.push_back(std::move(R));
-    }
-    // Pressure-aware mode sinks configurations whose refined register
-    // footprint cannot be resident at all, and breaks cost ties with the
-    // pressure-derived occupancy instead of the flat one.
-    std::stable_sort(Ranking.begin(), Ranking.end(),
-                     [](const Ranked &X, const Ranked &Y) {
-                       bool XUnfit = X.RankOcc.BlocksPerSM == 0;
-                       bool YUnfit = Y.RankOcc.BlocksPerSM == 0;
-                       if (XUnfit != YUnfit)
-                         return YUnfit;
-                       if (X.Cost.total() != Y.Cost.total())
-                         return X.Cost.total() < Y.Cost.total();
-                       if (X.RankOcc.Occupancy != Y.RankOcc.Occupancy)
-                         return X.RankOcc.Occupancy > Y.RankOcc.Occupancy;
-                       return X.Config.threadsPerBlock() >
-                              Y.Config.threadsPerBlock();
-                     });
+    std::vector<ScoredConfig> Ranking =
+        rankConfigs(RankTC, Candidates, Verifier,
+                    Options.PressureAwareRanking, NoteRejection);
     Result.Phases.RankMs += Span.elapsedMs();
     return Ranking;
   };
@@ -293,17 +308,31 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
         {{"findings", std::to_string(Report.Findings.size())}});
   };
 
-  // Emit the top-K verified plans. Every emission is source-verified; a
-  // failed emission (e.g. injected truncation) is retried before the
-  // candidate is given up on. Returns true when at least one kernel was
-  // materialized — the rung succeeded.
-  auto emitVerified = [&](std::vector<Ranked> &Ranking,
+  // Walk the ranking best first, lowering and verifying a plan per
+  // candidate, and emit the first TopK plans that pass verifyPlan. Every
+  // emission is source-verified; a failed emission (e.g. injected
+  // truncation) is retried before the candidate is given up on, and is not
+  // replaced by the next candidate. Returns true when at least one kernel
+  // was materialized — the rung succeeded.
+  auto emitVerified = [&](const std::vector<ScoredConfig> &Ranking,
+                          const std::vector<KernelConfig> &Candidates,
                           const Contraction &EmitTC) {
+    if (Ranking.empty())
+      return false;
     support::TraceSpan Span("cogent.emit");
     constexpr unsigned EmitRetries = 6;
-    size_t Keep = std::min(std::max<size_t>(Options.TopK, 1), Ranking.size());
+    const size_t Keep = std::max<size_t>(Options.TopK, 1);
+    size_t Verified = 0;
     uint64_t SourceBytes = 0;
-    for (size_t I = 0; I < Keep; ++I) {
+    for (const ScoredConfig &S : Ranking) {
+      if (Verified == Keep)
+        break;
+      KernelPlan Plan(EmitTC, Candidates[S.Index]);
+      if (ErrorOr<void> PlanCheck = Verifier.verifyPlan(Plan); !PlanCheck) {
+        NoteRejection(PlanCheck.error());
+        continue;
+      }
+      ++Verified;
       // The byte budget truncates the tail, never the head: one kernel is
       // always materialized.
       if (!Result.Kernels.empty() && Options.Budget.MaxSourceBytes != 0 &&
@@ -318,10 +347,9 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
         break;
       }
       GeneratedKernel Kernel;
-      Kernel.Config = Ranking[I].Config;
-      Kernel.Cost = Ranking[I].Cost;
-      Kernel.Occupancy = Ranking[I].Occ;
-      KernelPlan Plan(EmitTC, Kernel.Config);
+      Kernel.Config = Plan.config();
+      Kernel.Cost = S.Cost;
+      Kernel.Occupancy = S.Occupancy;
       Kernel.PlanPressure = planRegisterPressure(Plan, Options.ElementSize);
       bool SourceOk = false;
       std::vector<analysis::LintFinding> Accepted;
@@ -384,9 +412,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
   // verified, emitted kernel demotes to the next.
   bool Done = false;
   if (!Configs.empty()) {
-    std::vector<Ranked> Ranking = rankVerified(Configs, TC);
-    if (!Ranking.empty())
-      Done = emitVerified(Ranking, TC);
+    Done = emitVerified(rank(Configs, TC), Configs, TC);
     if (!Done)
       ++NumVerifierDemotions;
   }
@@ -402,9 +428,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
           {{"level", fallbackLevelName(FallbackLevel::MinimalTile)}});
       std::vector<KernelConfig> One;
       One.push_back(std::move(Minimal));
-      std::vector<Ranked> Ranking = rankVerified(One, TC);
-      if (!Ranking.empty())
-        Done = emitVerified(Ranking, TC);
+      Done = emitVerified(rank(One, TC), One, TC);
       if (!Done)
         ++NumVerifierDemotions;
     }
@@ -427,9 +451,7 @@ ErrorOr<GenerationResult> Cogent::generate(const Contraction &TC,
     assert(GemmConfig.validate(Gemm).empty());
     std::vector<KernelConfig> One;
     One.push_back(std::move(GemmConfig));
-    std::vector<Ranked> Ranking = rankVerified(One, Gemm);
-    if (!Ranking.empty())
-      Done = emitVerified(Ranking, Gemm);
+    Done = emitVerified(rank(One, Gemm), One, Gemm);
     Result.Phases.FallbackMs += Span.elapsedMs();
   }
 

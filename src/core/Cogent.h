@@ -26,8 +26,10 @@
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/Trace.h"
+#include "verify/PlanVerifier.h"
 
 #include <cassert>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -220,6 +222,30 @@ struct GenerationResult {
     return Kernels.front();
   }
 };
+
+/// A candidate configuration that passed ranking's fit and cost checks.
+struct ScoredConfig {
+  /// Position in the candidate list that was ranked.
+  size_t Index = 0;
+  TransactionCost Cost;
+  /// The block's occupancy under the flat register estimate.
+  gpu::OccupancyResult Occupancy;
+};
+
+/// The ranking pass of Cogent::generate, over configurations alone: every
+/// candidate gets the verifier's fit check and Algorithm 3's cost (re-
+/// estimated up to 4 times while verifyCost rejects it), in candidate
+/// order; \p OnReject sees each failed check. Returns the survivors best
+/// first: a fitting block before an unfit one (only pressure-aware mode,
+/// which ranks by planOccupancyUnderPressure, can see one), then lower
+/// modeled transactions, higher occupancy, more threads, and candidate
+/// order. No KernelPlan is built; generate() lowers and fully verifies a
+/// plan only for the candidates it walks toward emission.
+std::vector<ScoredConfig>
+rankConfigs(const ir::Contraction &TC,
+            const std::vector<KernelConfig> &Candidates,
+            const verify::PlanVerifier &Verifier, bool PressureAware,
+            const std::function<void(const Error &)> &OnReject);
 
 /// The code generator, bound to one target device.
 class Cogent {

@@ -35,7 +35,8 @@ static double transactionsPerSlice(int64_t SliceElems, int64_t Run,
   return static_cast<double>(NumRuns) * static_cast<double>(TransPerRun);
 }
 
-TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
+TransactionCost cogent::core::estimateTransactions(const ir::Contraction &TC,
+                                                   const KernelConfig &Config,
                                                    unsigned ElementSize,
                                                    unsigned TransactionBytes) {
   assert((ElementSize == 4 || ElementSize == 8) && "unsupported element size");
@@ -43,22 +44,24 @@ TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
   int64_t ElemsPerTrans = TransactionBytes / ElementSize;
 
   TransactionCost Cost;
-  double BlockSteps = static_cast<double>(Plan.numBlocks()) *
-                      static_cast<double>(Plan.numSteps());
-  Cost.LoadA = transactionsPerSlice(Plan.sliceElements(Operand::A),
-                                    Plan.contiguousRun(Operand::A),
+  TileMap Tiles(Config);
+  double Blocks = static_cast<double>(Tiles.numThreadBlocks(TC));
+  double BlockSteps = Blocks * static_cast<double>(Tiles.numSteps(TC));
+  Cost.LoadA = transactionsPerSlice(Tiles.sliceElements(TC, Operand::A),
+                                    Tiles.contiguousRun(TC, Operand::A),
                                     ElemsPerTrans) *
                BlockSteps;
-  Cost.LoadB = transactionsPerSlice(Plan.sliceElements(Operand::B),
-                                    Plan.contiguousRun(Operand::B),
+  Cost.LoadB = transactionsPerSlice(Tiles.sliceElements(TC, Operand::B),
+                                    Tiles.contiguousRun(TC, Operand::B),
                                     ElemsPerTrans) *
                BlockSteps;
 
-  int64_t CSliceElems =
-      Plan.tbX() * Plan.tbY() * Plan.regX() * Plan.regY();
-  Cost.StoreC =
-      transactionsPerSlice(CSliceElems, Plan.contiguousRunC(), ElemsPerTrans) *
-      static_cast<double>(Plan.numBlocks());
+  int64_t CSliceElems = Config.threadsPerBlock() * Config.regXSize() *
+                        Config.regYSize();
+  Cost.StoreC = transactionsPerSlice(CSliceElems,
+                                     Tiles.contiguousRun(TC, Operand::C),
+                                     ElemsPerTrans) *
+                Blocks;
   // Chaos site: a misranking cost model. All three components scale by one
   // factor so the lie is self-consistent; PlanVerifier::verifyCost catches
   // estimates perturbed below the compulsory-traffic bound.
@@ -70,6 +73,13 @@ TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
     Cost.StoreC *= Factor;
   }
   return Cost;
+}
+
+TransactionCost cogent::core::estimateTransactions(const KernelPlan &Plan,
+                                                   unsigned ElementSize,
+                                                   unsigned TransactionBytes) {
+  return estimateTransactions(Plan.contraction(), Plan.config(), ElementSize,
+                              TransactionBytes);
 }
 
 TransactionCost
@@ -235,36 +245,52 @@ gpu::OccupancyResult cogent::core::planOccupancy(const KernelPlan &Plan,
   return gpu::computeOccupancy(Device, Block);
 }
 
-unsigned cogent::core::planRegisterPressure(const KernelPlan &Plan,
+unsigned cogent::core::planRegisterPressure(const ir::Contraction &TC,
+                                            const KernelConfig &Config,
                                             unsigned ElementSize) {
   unsigned RegsPerElement = ElementSize / 4;
-  int64_t Tile = Plan.regX() * Plan.regY() + Plan.regX() + Plan.regY();
-  int64_t RankA = static_cast<int64_t>(Plan.sliceDims(Operand::A).size());
-  int64_t RankB = static_cast<int64_t>(Plan.sliceDims(Operand::B).size());
-  int64_t RankC = static_cast<int64_t>(Plan.storeDims().size());
+  int64_t RegX = Config.regXSize(), RegY = Config.regYSize();
+  int64_t Tile = RegX * RegY + RegX + RegY;
+  int64_t RankA = TC.rank(Operand::A);
+  int64_t RankB = TC.rank(Operand::B);
+  int64_t RankC = TC.rank(Operand::C);
+  // The grid decodes every external index (C's), the steps every internal
+  // one; an external index sits in one input, an internal one in both.
+  int64_t GridDims = RankC;
+  int64_t StepDims = (RankA + RankB - RankC) / 2;
   // Index arithmetic the emitter actually materializes, all 64-bit (2
   // registers each): the stride table, per-dimension tile counts and
   // bases of the grid and step decodes, and the global coordinates of
   // the wider slice load; 28 covers the remaining cursors and loop
   // state exactly as in KernelConfig::registersPerThread.
-  int64_t Scalars = 28 + 2 * (RankA + RankB + RankC) +
-                    4 * static_cast<int64_t>(Plan.gridDims().size()) +
-                    4 * static_cast<int64_t>(Plan.stepDims().size()) +
-                    2 * std::max(RankA, RankB);
+  int64_t Scalars = 28 + 2 * (RankA + RankB + RankC) + 4 * GridDims +
+                    4 * StepDims + 2 * std::max(RankA, RankB);
   int64_t Total = Tile * RegsPerElement + Scalars;
   return static_cast<unsigned>(std::min<int64_t>(Total, 512));
+}
+
+unsigned cogent::core::planRegisterPressure(const KernelPlan &Plan,
+                                            unsigned ElementSize) {
+  return planRegisterPressure(Plan.contraction(), Plan.config(), ElementSize);
+}
+
+gpu::OccupancyResult cogent::core::planOccupancyUnderPressure(
+    const ir::Contraction &TC, const KernelConfig &Config,
+    const gpu::DeviceSpec &Device, unsigned ElementSize) {
+  gpu::BlockResources Block;
+  Block.ThreadsPerBlock = static_cast<unsigned>(Config.threadsPerBlock());
+  Block.SharedMemBytes =
+      static_cast<unsigned>(Config.smemBytes(ElementSize));
+  Block.RegistersPerThread = planRegisterPressure(TC, Config, ElementSize);
+  return gpu::computeOccupancy(Device, Block);
 }
 
 gpu::OccupancyResult
 cogent::core::planOccupancyUnderPressure(const KernelPlan &Plan,
                                          const gpu::DeviceSpec &Device,
                                          unsigned ElementSize) {
-  gpu::BlockResources Block;
-  Block.ThreadsPerBlock = static_cast<unsigned>(Plan.threadsPerBlock());
-  Block.SharedMemBytes =
-      static_cast<unsigned>(Plan.config().smemBytes(ElementSize));
-  Block.RegistersPerThread = planRegisterPressure(Plan, ElementSize);
-  return gpu::computeOccupancy(Device, Block);
+  return planOccupancyUnderPressure(Plan.contraction(), Plan.config(), Device,
+                                    ElementSize);
 }
 
 gpu::KernelProfile

@@ -36,7 +36,14 @@ struct TransactionCost {
 
 /// Implements Algorithm 3 for both inputs and the output store: the number
 /// of transactions per staged slice is the number of contiguous runs times
-/// the transactions per run, multiplied by steps and thread blocks.
+/// the transactions per run, multiplied by steps and thread blocks. Needs
+/// only the configuration, so ranking never lowers a KernelPlan.
+TransactionCost estimateTransactions(const ir::Contraction &TC,
+                                     const KernelConfig &Config,
+                                     unsigned ElementSize,
+                                     unsigned TransactionBytes = 128);
+
+/// estimateTransactions for \p Plan's contraction and configuration.
 TransactionCost estimateTransactions(const KernelPlan &Plan,
                                      unsigned ElementSize,
                                      unsigned TransactionBytes = 128);
@@ -76,12 +83,19 @@ gpu::OccupancyResult planOccupancy(const KernelPlan &Plan,
 /// lets KernelDataflow's source-side liveness walk agree with it within
 /// analysis::PressureToleranceRegs (asserted across the TCCG suite by
 /// test_kernel_dataflow). Capped at 512 like the flat estimate.
+unsigned planRegisterPressure(const ir::Contraction &TC,
+                              const KernelConfig &Config,
+                              unsigned ElementSize);
 unsigned planRegisterPressure(const KernelPlan &Plan, unsigned ElementSize);
 
 /// planOccupancy with BlockResources::RegistersPerThread taken from
 /// planRegisterPressure instead of the flat estimate: the occupancy term
 /// used when CogentOptions::PressureAwareRanking is enabled, demoting
 /// configurations whose real pressure caps residency.
+gpu::OccupancyResult planOccupancyUnderPressure(const ir::Contraction &TC,
+                                                const KernelConfig &Config,
+                                                const gpu::DeviceSpec &Device,
+                                                unsigned ElementSize);
 gpu::OccupancyResult planOccupancyUnderPressure(const KernelPlan &Plan,
                                                 const gpu::DeviceSpec &Device,
                                                 unsigned ElementSize);

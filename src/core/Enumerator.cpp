@@ -7,7 +7,6 @@
 #include "core/Enumerator.h"
 
 #include "core/CostModel.h"
-#include "core/KernelPlan.h"
 #include "gpu/Occupancy.h"
 #include "support/Counters.h"
 #include "support/FaultInjection.h"

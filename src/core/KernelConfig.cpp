@@ -40,18 +40,66 @@ int64_t KernelConfig::tileOf(char Name) const {
 
 static int64_t ceilDiv(int64_t X, int64_t Y) { return (X + Y - 1) / Y; }
 
-int64_t KernelConfig::numThreadBlocks(const ir::Contraction &TC) const {
+TileMap::TileMap(const KernelConfig &Config) {
+  // Same answers as tileOf even for configs validate() would reject: the
+  // first mapping of a name wins, and names outside 'a'..'z' are skipped.
+  Tiles.fill(1);
+  uint32_t Seen = 0;
+  for (const std::vector<IndexTile> *List :
+       {&Config.TBx, &Config.TBy, &Config.RegX, &Config.RegY, &Config.TBk})
+    for (const IndexTile &T : *List) {
+      if (T.Name < 'a' || T.Name > 'z')
+        continue;
+      uint32_t Bit = 1u << (T.Name - 'a');
+      if (Seen & Bit)
+        continue;
+      Seen |= Bit;
+      Tiles[T.Name - 'a'] = T.Tile;
+    }
+}
+
+int64_t TileMap::numThreadBlocks(const ir::Contraction &TC) const {
+  // The external indices are exactly C's.
   int64_t Blocks = 1;
-  for (char Name : TC.externalIndices())
-    Blocks *= ceilDiv(TC.extent(Name), tileOf(Name));
+  for (char Name : TC.indices(ir::Operand::C))
+    Blocks *= ceilDiv(TC.extent(Name), (*this)[Name]);
   return Blocks;
 }
 
-int64_t KernelConfig::numSteps(const ir::Contraction &TC) const {
+int64_t TileMap::numSteps(const ir::Contraction &TC) const {
   int64_t Steps = 1;
-  for (char Name : TC.internalIndices())
-    Steps *= ceilDiv(TC.extent(Name), tileOf(Name));
+  for (char Name : TC.indices(ir::Operand::A))
+    if (TC.isInternal(Name))
+      Steps *= ceilDiv(TC.extent(Name), (*this)[Name]);
   return Steps;
+}
+
+int64_t TileMap::sliceElements(const ir::Contraction &TC,
+                               ir::Operand Op) const {
+  assert(Op != ir::Operand::C && "slices are for inputs");
+  int64_t Elems = 1;
+  for (char Name : TC.indices(Op))
+    Elems *= (*this)[Name];
+  return Elems;
+}
+
+int64_t TileMap::contiguousRun(const ir::Contraction &TC,
+                               ir::Operand Op) const {
+  int64_t Run = 1;
+  for (char Name : TC.indices(Op)) {
+    Run *= (*this)[Name];
+    if ((*this)[Name] < TC.extent(Name))
+      break;
+  }
+  return Run;
+}
+
+int64_t KernelConfig::numThreadBlocks(const ir::Contraction &TC) const {
+  return TileMap(*this).numThreadBlocks(TC);
+}
+
+int64_t KernelConfig::numSteps(const ir::Contraction &TC) const {
+  return TileMap(*this).numSteps(TC);
 }
 
 int64_t KernelConfig::smemElements() const {

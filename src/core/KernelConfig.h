@@ -19,6 +19,7 @@
 
 #include "ir/Contraction.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -110,6 +111,36 @@ struct KernelConfig {
 
 private:
   const IndexTile *findTile(char Name) const;
+};
+
+/// A configuration's tile for every index name ('a'..'z'; 1 where
+/// unmapped), built in one pass over the five lists. Walks over all of a
+/// contraction's indices look each tile up in O(1) instead of searching
+/// the lists per index. The cost model shares one map across its walks;
+/// KernelConfig and KernelPlan forward their walks here.
+class TileMap {
+public:
+  explicit TileMap(const KernelConfig &Config);
+
+  int64_t operator[](char Name) const { return Tiles[Name - 'a']; }
+
+  /// KernelConfig::numThreadBlocks.
+  int64_t numThreadBlocks(const ir::Contraction &TC) const;
+  /// KernelConfig::numSteps.
+  int64_t numSteps(const ir::Contraction &TC) const;
+
+  /// Elements of \p Op's slice one block stages per step: the product of
+  /// the tiles of \p Op's indices (A or B).
+  int64_t sliceElements(const ir::Contraction &TC, ir::Operand Op) const;
+
+  /// The paper's cal_Cont(): the maximal contiguous global-memory run, in
+  /// elements, of \p Op's tile hyper-rectangle. Walks \p Op's indices FVI
+  /// first; an index extends the run only while every faster index was
+  /// covered in full. \p Op may be C (the store's run).
+  int64_t contiguousRun(const ir::Contraction &TC, ir::Operand Op) const;
+
+private:
+  std::array<int64_t, 26> Tiles;
 };
 
 } // namespace core

@@ -143,11 +143,7 @@ KernelPlan::KernelPlan(const Contraction &TCIn, KernelConfig ConfigIn)
 }
 
 int64_t KernelPlan::sliceElements(Operand Op) const {
-  assert(Op != Operand::C && "slices are for inputs");
-  int64_t Elems = 1;
-  for (const SliceDim &Dim : sliceDims(Op))
-    Elems *= Dim.Tile;
-  return Elems;
+  return TileMap(Config).sliceElements(TC, Op);
 }
 
 const std::vector<SliceDim> &KernelPlan::sliceDims(Operand Op) const {
@@ -155,23 +151,11 @@ const std::vector<SliceDim> &KernelPlan::sliceDims(Operand Op) const {
   return Op == Operand::A ? SliceA : SliceB;
 }
 
-/// Walks dims in layout order accumulating the contiguous run: a dimension
-/// extends the run only while every faster dimension was covered in full.
-template <typename DimT>
-static int64_t contiguousRunOf(const std::vector<DimT> &Dims) {
-  int64_t Run = 1;
-  for (const DimT &Dim : Dims) {
-    Run *= Dim.Tile;
-    if (Dim.Tile < Dim.Extent)
-      break;
-  }
-  return Run;
-}
-
 int64_t KernelPlan::contiguousRun(Operand Op) const {
-  return contiguousRunOf(sliceDims(Op));
+  assert(Op != Operand::C && "use contiguousRunC for the store");
+  return TileMap(Config).contiguousRun(TC, Op);
 }
 
 int64_t KernelPlan::contiguousRunC() const {
-  return contiguousRunOf(StoreDims);
+  return TileMap(Config).contiguousRun(TC, Operand::C);
 }

@@ -42,9 +42,11 @@ TraceSession::~TraceSession() {
 }
 
 double TraceSession::nowUs() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - Epoch)
-      .count();
+  return usAt(std::chrono::steady_clock::now());
+}
+
+double TraceSession::usAt(std::chrono::steady_clock::time_point Time) const {
+  return std::chrono::duration<double, std::micro>(Time - Epoch).count();
 }
 
 void TraceSession::record(TraceEvent Event) {
@@ -135,10 +137,11 @@ TraceSpan::~TraceSpan() {
   Event.Name = Name;
   Event.Phase = 'X';
   Event.ThreadId = traceThreadId();
-  Event.DurationUs = std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - Start)
-                         .count();
-  Event.TimestampUs = Session->nowUs() - Event.DurationUs;
+  // One clock read for the end, and the start from the construction-time
+  // read: a preemption here cannot shift the start past a nested span's.
+  double EndUs = Session->nowUs();
+  Event.TimestampUs = Session->usAt(Start);
+  Event.DurationUs = EndUs - Event.TimestampUs;
   Event.Args = std::move(Args);
   Session->record(std::move(Event));
 }

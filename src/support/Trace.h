@@ -71,6 +71,8 @@ public:
 
   /// Microseconds since this session was constructed.
   double nowUs() const;
+  /// Microseconds from this session's construction to \p Time.
+  double usAt(std::chrono::steady_clock::time_point Time) const;
 
   size_t eventCount() const;
   /// Copy of the recorded events, in record order.

@@ -6,7 +6,6 @@
 
 #include "verify/PlanVerifier.h"
 
-#include "gpu/Occupancy.h"
 #include "support/Counters.h"
 
 #include <cmath>
@@ -16,7 +15,9 @@ using namespace cogent;
 using namespace cogent::verify;
 
 COGENT_COUNTER(NumPlansVerified, "verifier.plans-checked",
-               "KernelPlans run through PlanVerifier::verifyPlan");
+               "KernelPlans run through PlanVerifier::verifyPlan: the "
+               "ranked candidates walked toward emission (every candidate "
+               "gets only the fit and cost checks)");
 COGENT_COUNTER(NumVerifierRejections, "verifier.rejections",
                "Verification failures across all PlanVerifier checks");
 
@@ -99,8 +100,15 @@ ErrorOr<void> PlanVerifier::verifyPlan(const core::KernelPlan &Plan) const {
                 " disagrees with numSteps() = " +
                 std::to_string(Plan.numSteps()));
 
+  if (ErrorOr<gpu::OccupancyResult> Fit = verifyFit(Config); !Fit)
+    return Fit.takeError();
+  return {};
+}
+
+ErrorOr<gpu::OccupancyResult>
+PlanVerifier::verifyFit(const core::KernelConfig &Config) const {
   // Device-resource budgets, recomputed from the config's own footprint.
-  int64_t Threads = Plan.threadsPerBlock();
+  int64_t Threads = Config.threadsPerBlock();
   if (Threads < 1 || Threads > Device.MaxThreadsPerBlock)
     return fail("block of " + std::to_string(Threads) +
                 " threads outside [1, " +
@@ -127,18 +135,23 @@ ErrorOr<void> PlanVerifier::verifyPlan(const core::KernelPlan &Plan) const {
   if (Occ.BlocksPerSM < 1)
     return fail(std::string("block does not fit on an SM (limiter: ") +
                 Occ.Limiter + ") on " + Device.Name);
-  return {};
+  return Occ;
 }
 
 ErrorOr<void> PlanVerifier::verifyCost(const core::KernelPlan &Plan,
                                        const core::TransactionCost &Cost)
     const {
+  return verifyCost(Cost, transactionLowerBound(Plan.contraction(),
+                                                ElementSize,
+                                                Device.TransactionBytes));
+}
+
+ErrorOr<void> PlanVerifier::verifyCost(const core::TransactionCost &Cost,
+                                       double LowerBound) const {
   double Total = Cost.total();
   if (!std::isfinite(Total) || Cost.LoadA < 0.0 || Cost.LoadB < 0.0 ||
       Cost.StoreC < 0.0)
     return fail("transaction cost is not a finite non-negative number");
-  double LowerBound = transactionLowerBound(Plan.contraction(), ElementSize,
-                                            Device.TransactionBytes);
   // 1% slack plus half a transaction absorbs the bound's lack of per-run
   // ceil rounding; anything below that claims impossible traffic.
   if (Total + 0.5 < 0.99 * LowerBound)

@@ -34,6 +34,7 @@
 #include "core/CostModel.h"
 #include "core/KernelPlan.h"
 #include "gpu/DeviceSpec.h"
+#include "gpu/Occupancy.h"
 #include "support/Diagnostics.h"
 
 namespace cogent {
@@ -54,14 +55,26 @@ public:
       : Device(Device), ElementSize(ElementSize) {}
 
   /// Structural + resource invariants of \p Plan (everything except the
-  /// cost and source checks). ErrorCode::VerificationFailed on violation.
+  /// cost and source checks): the structural checks, then verifyFit.
+  /// ErrorCode::VerificationFailed on violation.
   ErrorOr<void> verifyPlan(const core::KernelPlan &Plan) const;
+
+  /// The device-fit half of verifyPlan, from the configuration alone:
+  /// threads, shared memory and registers within the device's limits and
+  /// at least one resident block per SM. Returns the block's occupancy, so
+  /// ranking reuses it instead of computing it twice.
+  ErrorOr<gpu::OccupancyResult> verifyFit(const core::KernelConfig &Config)
+      const;
 
   /// Sanity of a claimed transaction cost for \p Plan: finite,
   /// non-negative, and >= the analytic lower bound (with a small slack for
   /// rounding). Catches perturbed or corrupted cost-model outputs.
   ErrorOr<void> verifyCost(const core::KernelPlan &Plan,
                            const core::TransactionCost &Cost) const;
+  /// verifyCost against a precomputed transactionLowerBound, for callers
+  /// that check many candidates of one contraction.
+  ErrorOr<void> verifyCost(const core::TransactionCost &Cost,
+                           double LowerBound) const;
 
   /// Plausibility of emitted source: non-empty kernel text containing the
   /// kernel name, balanced braces across kernel + driver. Catches truncated
