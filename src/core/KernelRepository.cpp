@@ -8,7 +8,6 @@
 
 #include "support/Counters.h"
 #include "support/FaultInjection.h"
-#include "support/Metrics.h"
 
 #include <cassert>
 #include <cmath>
@@ -25,14 +24,6 @@ COGENT_COUNTER(NumCacheEntriesLoaded, "repository.entries-loaded",
 COGENT_COUNTER(NumCacheMisses, "repository.cache-misses",
                "on-disk cache entries rejected as corrupt/truncated/"
                "version-mismatched");
-COGENT_COUNTER(NumShardHits, "repository.shard-hits",
-               "sharded-cache lookups served from a checksum-valid entry");
-COGENT_COUNTER(NumShardMisses, "repository.shard-misses",
-               "sharded-cache lookups that generated a fresh plan");
-COGENT_COUNTER(NumShardQuarantines, "repository.shard-quarantines",
-               "sharded-cache entries evicted on checksum mismatch");
-COGENT_COUNTER(NumShardRebuilds, "repository.shard-rebuilds",
-               "sharded-cache entries regenerated by rebuildQuarantined");
 
 /// The on-disk cache format version. Bump on any layout change: a mismatch
 /// is a full cache miss, never a best-effort parse of an older layout.
@@ -310,28 +301,6 @@ size_t ShardedKernelRepository::suspectShards() const {
   return Count;
 }
 
-void ShardedKernelRepository::mirrorMetrics(support::MetricRegistry &Registry,
-                                            const std::string &Prefix) const {
-  Registry.counter(Prefix + "hits", "plan-cache checksum-valid hits")
-      .bridgeTo(hits());
-  Registry.counter(Prefix + "misses", "plan-cache misses (fresh generations)")
-      .bridgeTo(misses());
-  Registry
-      .counter(Prefix + "quarantined",
-               "corrupt plan-cache entries evicted on hit or rebuild")
-      .bridgeTo(quarantined());
-  Registry
-      .counter(Prefix + "rebuilt",
-               "quarantined entries regenerated by repair passes")
-      .bridgeTo(rebuilt());
-  Registry.gauge(Prefix + "size", "cached plans across all shards")
-      .set(static_cast<double>(size()));
-  Registry
-      .gauge(Prefix + "suspect-shards",
-             "shards quarantined since the last repair pass")
-      .set(static_cast<double>(suspectShards()));
-}
-
 ErrorOr<ShardedKernelRepository::Lookup> ShardedKernelRepository::generateInto(
     Shard &S, const std::string &Signature, const std::string &Spec,
     const std::vector<std::pair<char, int64_t>> &Extents,
@@ -398,7 +367,6 @@ ShardedKernelRepository::lookupOrGenerate(
         Out.Fallback = It->second.Fallback;
         Out.CacheHit = true;
         Hits.fetch_add(1, std::memory_order_relaxed);
-        ++NumShardHits;
         return Out;
       }
       // Quarantine: evict the corrupt entry and mark the shard suspect so
@@ -409,13 +377,11 @@ ShardedKernelRepository::lookupOrGenerate(
       S.Suspect = true;
       WasQuarantine = true;
       Quarantined.fetch_add(1, std::memory_order_relaxed);
-      ++NumShardQuarantines;
       support::traceInstant("repository.quarantine",
                             {{"signature", Signature}});
     }
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
-  ++NumShardMisses;
   return generateInto(S, Signature, Spec, Extents, Override, WasQuarantine);
 }
 
@@ -434,7 +400,6 @@ ShardedKernelRepository::generateFresh(
     S.Entries.erase(Signature);
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
-  ++NumShardMisses;
   return generateInto(S, Signature, Spec, Extents, Override,
                       /*WasQuarantine=*/false);
 }
@@ -455,7 +420,6 @@ size_t ShardedKernelRepository::rebuildQuarantined() {
             It->second.Checksum) {
           ToRebuild.emplace_back(It->first, It->second.Extents);
           Quarantined.fetch_add(1, std::memory_order_relaxed);
-          ++NumShardQuarantines;
           It = S->Entries.erase(It);
         } else {
           ++It;
@@ -472,7 +436,6 @@ size_t ShardedKernelRepository::rebuildQuarantined() {
       if (!Fresh)
         continue; // the entry stays evicted; the next lookup retries
       Rebuilt.fetch_add(1, std::memory_order_relaxed);
-      ++NumShardRebuilds;
       ++RebuiltNow;
     }
   }

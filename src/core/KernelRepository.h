@@ -28,9 +28,6 @@
 #include <vector>
 
 namespace cogent {
-namespace support {
-class MetricRegistry;
-} // namespace support
 namespace core {
 
 /// One generated code version together with the representative size it was
@@ -185,13 +182,6 @@ public:
     return Quarantined.load(std::memory_order_relaxed);
   }
   uint64_t rebuilt() const { return Rebuilt.load(std::memory_order_relaxed); }
-
-  /// Mirrors the cache's tallies into \p Registry under "<Prefix>" names:
-  /// hits/misses/quarantined/rebuilt as monotonic counters (bridgeTo, so
-  /// repeated mirroring is idempotent), size/suspect-shards as gauges.
-  /// The service's telemetry exporters call this before every render.
-  void mirrorMetrics(support::MetricRegistry &Registry,
-                     const std::string &Prefix = "cache.") const;
 
 private:
   struct Entry {

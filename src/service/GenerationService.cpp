@@ -17,27 +17,13 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <utility>
 
 using namespace cogent;
 using namespace cogent::service;
 using core::CogentOptions;
 using core::FallbackLevel;
 using core::ShardedKernelRepository;
-
-COGENT_COUNTER(NumServiceSubmitted, "service.submitted",
-               "requests admitted past the service's admission control");
-COGENT_COUNTER(NumServiceShed, "service.shed",
-               "requests shed at admission (queue-full / overloaded / "
-               "expired deadline)");
-COGENT_COUNTER(NumServiceRetries, "service.retries",
-               "generation attempts re-run after a transient failure");
-COGENT_COUNTER(NumServiceCoalesced, "service.coalesced",
-               "requests that rode another in-flight request's generation");
-COGENT_COUNTER(NumServiceDeadlineDegraded, "service.deadline-degraded",
-               "requests whose remaining deadline forced a degraded start "
-               "rung");
-COGENT_COUNTER(NumServiceBreakerTrips, "service.breaker-trips",
-               "per-signature circuit breakers tripped open");
 
 using Clock = std::chrono::steady_clock;
 
@@ -88,7 +74,90 @@ GenerationService::GenerationService(gpu::DeviceSpec Device,
                                      ServiceOptions Opts)
     : Options(std::move(Opts)), Generator(std::move(Device)),
       Repo(Generator, Options.NumShards, Options.Generation),
-      Telem(Options.Telemetry) {
+      Telem(Options.Telemetry),
+      LatencyHist(Telem.registry().histogram(
+          "service.latency-ms",
+          "submit-to-completion wall clock of completed requests",
+          Options.Telemetry.HistogramShards)),
+      QueueWaitHist(Telem.registry().histogram(
+          "service.queue-wait-ms",
+          "time requests spent queued before a worker picked them up",
+          Options.Telemetry.HistogramShards)) {
+  // Every exported count is a view of its one owner, read at render time.
+  support::MetricRegistry &R = Telem.registry();
+  static constexpr struct {
+    const char *Name;
+    const char *Help;
+    std::atomic<uint64_t> AtomicStats::*Tally;
+  } TallyViews[] = {
+      {"service.submitted", "requests entering submit()",
+       &AtomicStats::Submitted},
+      {"service.completed", "requests fulfilled with a plan",
+       &AtomicStats::Completed},
+      {"service.failed", "requests fulfilled with a typed error",
+       &AtomicStats::Failed},
+      {"service.shed-queue-full", "requests shed on a full intake queue",
+       &AtomicStats::ShedQueueFull},
+      {"service.shed-overloaded",
+       "requests shed at the outstanding-work limit",
+       &AtomicStats::ShedOverloaded},
+      {"service.shed-expired", "requests shed with a pre-expired deadline",
+       &AtomicStats::ShedExpired},
+      {"service.retries", "attempts re-run after a transient failure",
+       &AtomicStats::Retries},
+      {"service.coalesced",
+       "requests that rode another request's generation",
+       &AtomicStats::Coalesced},
+      {"service.breaker-trips", "circuit breakers tripped open",
+       &AtomicStats::BreakerTrips},
+      {"service.breaker-resets",
+       "breakers closed again by a clean half-open probe",
+       &AtomicStats::BreakerResets},
+      {"service.deadline-degraded",
+       "requests forced onto a degraded start rung by their deadline",
+       &AtomicStats::DeadlineDegraded},
+      {"service.deadline-expired",
+       "requests whose deadline had fully expired before execution",
+       &AtomicStats::DeadlineExpired},
+  };
+  for (const auto &View : TallyViews)
+    R.counter(View.Name, View.Help, [this, Tally = View.Tally] {
+      return (Tallies.*Tally).load(std::memory_order_relaxed);
+    });
+  R.counter("telemetry.events-recorded", "lifecycle events recorded",
+            [this] { return Telem.eventsRecorded(); });
+  R.counter("telemetry.events-dropped",
+            "events evicted from the bounded in-memory ring",
+            [this] { return Telem.eventsDropped(); });
+  R.gauge("service.outstanding", "requests admitted but not yet fulfilled",
+          [this] {
+            return static_cast<double>(
+                Outstanding.load(std::memory_order_relaxed));
+          });
+  R.gauge("service.queue-depth", "requests waiting in the intake queue",
+          [this] {
+            std::lock_guard<std::mutex> Guard(QueueLock);
+            return static_cast<double>(Queue.size());
+          });
+  R.counter("cache.hits", "plan-cache checksum-valid hits",
+            [this] { return Repo.hits(); });
+  R.counter("cache.misses", "plan-cache misses (fresh generations)",
+            [this] { return Repo.misses(); });
+  R.counter("cache.quarantined",
+            "corrupt plan-cache entries evicted on hit or rebuild",
+            [this] { return Repo.quarantined(); });
+  R.counter("cache.rebuilt",
+            "quarantined entries regenerated by repair passes",
+            [this] { return Repo.rebuilt(); });
+  R.gauge("cache.size", "cached plans across all shards",
+          [this] { return static_cast<double>(Repo.size()); });
+  R.gauge("cache.suspect-shards",
+          "shards quarantined since the last repair pass",
+          [this] { return static_cast<double>(Repo.suspectShards()); });
+  for (const support::Counter *C : support::registeredCounters())
+    R.counter(std::string("process.") + C->name(), C->description(),
+              [C] { return C->value(); });
+
   Paused = Options.StartPaused;
   Workers.reserve(Options.NumWorkers);
   for (unsigned I = 0; I < Options.NumWorkers; ++I)
@@ -142,7 +211,6 @@ GenerationService::submit(ServiceRequest Request) {
     // Expired before any work could begin: the one deadline shape that is
     // an admission error rather than a degraded answer.
     Tallies.ShedExpired.fetch_add(1, std::memory_order_relaxed);
-    ++NumServiceShed;
     Telem.recordEvent(RequestId, RequestEventKind::Shed, "expired-deadline");
     return Error(ErrorCode::DeadlineExceeded,
                  "request deadline expired before submission");
@@ -165,7 +233,6 @@ GenerationService::submit(ServiceRequest Request) {
   // executing jobs) sheds first.
   if (Outstanding.load(std::memory_order_relaxed) >= Options.MaxOutstanding) {
     Tallies.ShedOverloaded.fetch_add(1, std::memory_order_relaxed);
-    ++NumServiceShed;
     Telem.recordEvent(RequestId, RequestEventKind::Shed, "overloaded");
     return Error(ErrorCode::Overloaded,
                  "service outstanding-work limit reached (" +
@@ -184,7 +251,6 @@ GenerationService::submit(ServiceRequest Request) {
     }
     if (Queue.size() >= Options.QueueCapacity) {
       Tallies.ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
-      ++NumServiceShed;
       Telem.recordEvent(RequestId, RequestEventKind::Shed, "queue-full");
       return Error(ErrorCode::QueueFull,
                    "service intake queue is full (" +
@@ -194,7 +260,6 @@ GenerationService::submit(ServiceRequest Request) {
     Queue.push_back(Job);
     Outstanding.fetch_add(1, std::memory_order_relaxed);
   }
-  ++NumServiceSubmitted;
   QueueCv.notify_one();
   return Job;
 }
@@ -256,11 +321,7 @@ void GenerationService::fulfill(const std::shared_ptr<PendingRequest> &Job,
     Outcome->RequestId = Job->RequestId;
     Outcome->TotalMs = TotalMs;
     Tallies.Completed.fetch_add(1, std::memory_order_relaxed);
-    Telem.registry()
-        .histogram("service.latency-ms",
-                   "submit-to-completion wall clock of completed requests",
-                   Options.Telemetry.HistogramShards)
-        .record(TotalMs);
+    LatencyHist.record(TotalMs);
     Telem.recordEvent(Job->RequestId, RequestEventKind::Completed,
                       core::fallbackLevelName(Outcome->Fallback));
   } else {
@@ -279,11 +340,7 @@ void GenerationService::fulfill(const std::shared_ptr<PendingRequest> &Job,
 void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
   const ServiceRequest &Request = Job->Request;
   double QueueMs = msBetween(Job->SubmittedAt, Clock::now());
-  Telem.registry()
-      .histogram("service.queue-wait-ms",
-                 "time requests spent queued before a worker picked them up",
-                 Options.Telemetry.HistogramShards)
-      .record(QueueMs);
+  QueueWaitHist.record(QueueMs);
   Telem.recordEvent(Job->RequestId, RequestEventKind::Dequeued,
                     std::to_string(QueueMs));
 
@@ -299,7 +356,6 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
     if (!Inserted) {
       It->second.Waiters.push_back(Job);
       Tallies.Coalesced.fetch_add(1, std::memory_order_relaxed);
-      ++NumServiceCoalesced;
       Telem.recordEvent(Job->RequestId, RequestEventKind::Coalesced,
                         Signature);
       return;
@@ -311,6 +367,7 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
   ErrorOr<ServiceResult> Outcome =
       Error(ErrorCode::Unknown, "request never attempted");
   unsigned Attempt = 0;
+  bool DeadlineBanded = false; // counted once per request, not per attempt
   const double Inf = std::numeric_limits<double>::infinity();
   while (true) {
     ++Attempt;
@@ -347,8 +404,8 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
                                     : Share;
       }
       if (Meta.DeadlineDegraded) {
-        Tallies.DeadlineDegraded.fetch_add(1, std::memory_order_relaxed);
-        ++NumServiceDeadlineDegraded;
+        if (!std::exchange(DeadlineBanded, true))
+          Tallies.DeadlineDegraded.fetch_add(1, std::memory_order_relaxed);
         Telem.recordEvent(Job->RequestId, RequestEventKind::DeadlineBand,
                           core::fallbackLevelName(Gen.StartRung));
         support::traceInstant(
@@ -428,7 +485,6 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
               ++B.ConsecutiveRejections >= Options.BreakerThreshold) {
             if (B.S != BreakerState::Open) {
               Tallies.BreakerTrips.fetch_add(1, std::memory_order_relaxed);
-              ++NumServiceBreakerTrips;
               support::traceInstant("service.breaker-open",
                                     {{"signature", Signature}});
             }
@@ -476,7 +532,6 @@ void GenerationService::execute(const std::shared_ptr<PendingRequest> &Job) {
       break;
     }
     Tallies.Retries.fetch_add(1, std::memory_order_relaxed);
-    ++NumServiceRetries;
     double BackoffMs =
         std::min(Options.RetryBackoffBaseMs *
                      std::pow(2.0, static_cast<double>(Attempt - 1)),
@@ -537,62 +592,11 @@ ServiceStats GenerationService::stats() const {
   return Out;
 }
 
-void GenerationService::syncRegistry() const {
-  support::MetricRegistry &R = Telem.registry();
-  const ServiceStats S = stats();
-  R.counter("service.submitted", "requests entering submit()")
-      .bridgeTo(S.Submitted);
-  R.counter("service.completed", "requests fulfilled with a plan")
-      .bridgeTo(S.Completed);
-  R.counter("service.failed", "requests fulfilled with a typed error")
-      .bridgeTo(S.Failed);
-  R.counter("service.shed-queue-full", "requests shed on a full intake queue")
-      .bridgeTo(S.ShedQueueFull);
-  R.counter("service.shed-overloaded",
-            "requests shed at the outstanding-work limit")
-      .bridgeTo(S.ShedOverloaded);
-  R.counter("service.shed-expired",
-            "requests shed with a pre-expired deadline")
-      .bridgeTo(S.ShedExpired);
-  R.counter("service.retries", "attempts re-run after a transient failure")
-      .bridgeTo(S.Retries);
-  R.counter("service.coalesced",
-            "requests that rode another request's generation")
-      .bridgeTo(S.Coalesced);
-  R.counter("service.breaker-trips", "circuit breakers tripped open")
-      .bridgeTo(S.BreakerTrips);
-  R.counter("service.breaker-resets",
-            "breakers closed again by a clean half-open probe")
-      .bridgeTo(S.BreakerResets);
-  R.counter("service.deadline-degraded",
-            "requests forced onto a degraded start rung by their deadline")
-      .bridgeTo(S.DeadlineDegraded);
-  R.counter("service.deadline-expired",
-            "requests whose deadline had fully expired before execution")
-      .bridgeTo(S.DeadlineExpired);
-  R.counter("telemetry.events-recorded", "lifecycle events recorded")
-      .bridgeTo(Telem.eventsRecorded());
-  R.counter("telemetry.events-dropped",
-            "events evicted from the bounded in-memory ring")
-      .bridgeTo(Telem.eventsDropped());
-  R.gauge("service.outstanding", "requests admitted but not yet fulfilled")
-      .set(static_cast<double>(Outstanding.load(std::memory_order_relaxed)));
-  {
-    std::lock_guard<std::mutex> Guard(QueueLock);
-    R.gauge("service.queue-depth", "requests waiting in the intake queue")
-        .set(static_cast<double>(Queue.size()));
-  }
-  Repo.mirrorMetrics(R);
-  support::bridgeProcessCounters(R);
-}
-
 std::string GenerationService::telemetrySnapshot() const {
-  syncRegistry();
   return Telem.registry().renderJson();
 }
 
 std::string GenerationService::telemetryPrometheus() const {
-  syncRegistry();
   return Telem.registry().renderPrometheus();
 }
 

@@ -226,10 +226,11 @@ public:
   ServiceTelemetry &telemetry() { return Telem; }
   const ServiceTelemetry &telemetry() const { return Telem; }
 
-  /// Point-in-time JSON snapshot of the whole registry (stats, cache and
-  /// process counters bridged in, queue gauges refreshed, latency /
-  /// queue-wait histograms): one {"counters":..,"gauges":..,
-  /// "histograms":..} object. The cogent_cli --telemetry-json payload.
+  /// Point-in-time JSON snapshot of the whole registry (service tallies,
+  /// cache and process counters and the queue gauges, each read from its
+  /// owner as it renders; latency / queue-wait histograms): one
+  /// {"counters":..,"gauges":..,"histograms":..} object. The cogent_cli
+  /// --telemetry-json payload.
   std::string telemetrySnapshot() const;
 
   /// The same registry state in Prometheus text exposition format.
@@ -248,10 +249,6 @@ private:
   void execute(const std::shared_ptr<PendingRequest> &Job);
   void fulfill(const std::shared_ptr<PendingRequest> &Job,
                ErrorOr<ServiceResult> Outcome);
-  /// Bridges Tallies, cache stats and the process counter table into the
-  /// telemetry registry and refreshes the liveness gauges; both exporters
-  /// call this so a snapshot is always current.
-  void syncRegistry() const;
 
   ServiceOptions Options;
   core::Cogent Generator;
@@ -283,9 +280,10 @@ private:
   mutable std::mutex BreakersLock;
   std::unordered_map<std::string, Breaker> Breakers;
 
-  /// Mutable so the const exporters can bridge tallies into the registry
-  /// (monotonic ratchets; logically read-only).
-  mutable ServiceTelemetry Telem;
+  ServiceTelemetry Telem;
+  /// The two registry-owned histograms, resolved once at construction.
+  support::ConcurrentHistogram &LatencyHist;
+  support::ConcurrentHistogram &QueueWaitHist;
 
   struct AtomicStats {
     std::atomic<uint64_t> Submitted{0}, Completed{0}, Failed{0},

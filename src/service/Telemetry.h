@@ -26,9 +26,12 @@
 /// one self-contained JSON object per line, the grep-able production log.
 ///
 /// ServiceTelemetry also owns the service's MetricRegistry
-/// (support/Metrics.h): latency/queue-wait histograms, stat counters and
-/// liveness gauges, exported as a JSON snapshot and as Prometheus text by
-/// GenerationService::telemetrySnapshot()/telemetryPrometheus().
+/// (support/Metrics.h): the latency/queue-wait histograms, plus counter
+/// and gauge views that GenerationService registers once at construction
+/// and the registry reads from each count's owner (the service tallies,
+/// the plan cache, this hub's event counts, the process counter table)
+/// when it renders. GenerationService::telemetrySnapshot() and
+/// telemetryPrometheus() export it as JSON and as Prometheus text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +40,7 @@
 
 #include "support/Metrics.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

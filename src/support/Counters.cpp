@@ -7,7 +7,6 @@
 #include "support/Counters.h"
 
 #include "support/JsonWriter.h"
-#include "support/Metrics.h"
 
 #include <algorithm>
 #include <cstring>
@@ -37,15 +36,21 @@ Counter::Counter(const char *Name, const char *Description)
                                        std::memory_order_relaxed));
 }
 
-CounterSnapshot cogent::support::snapshotCounters() {
-  CounterSnapshot Snapshot;
+std::vector<const Counter *> cogent::support::registeredCounters() {
+  std::vector<const Counter *> All;
   for (Counter *C = registryHead().load(std::memory_order_acquire); C;
        C = C->Next)
+    All.push_back(C);
+  std::sort(All.begin(), All.end(), [](const Counter *X, const Counter *Y) {
+    return std::strcmp(X->name(), Y->name()) < 0;
+  });
+  return All;
+}
+
+CounterSnapshot cogent::support::snapshotCounters() {
+  CounterSnapshot Snapshot;
+  for (const Counter *C : registeredCounters())
     Snapshot.push_back({C->name(), C->description(), C->value()});
-  std::sort(Snapshot.begin(), Snapshot.end(),
-            [](const CounterValue &X, const CounterValue &Y) {
-              return std::strcmp(X.Name, Y.Name) < 0;
-            });
   return Snapshot;
 }
 
@@ -69,8 +74,8 @@ CounterSnapshot cogent::support::counterDelta(const CounterSnapshot &Before,
   return Delta;
 }
 
-thread_local CounterScope *cogent::support::counters_detail::ActiveScope =
-    nullptr;
+constinit thread_local CounterScope
+    *cogent::support::counters_detail::ActiveScope = nullptr;
 
 void cogent::support::counters_detail::recordScoped(const Counter *C,
                                                     uint64_t N) {
@@ -86,16 +91,11 @@ CounterScope::~CounterScope() { counters_detail::ActiveScope = Parent; }
 
 CounterSnapshot CounterScope::take() const {
   CounterSnapshot Snapshot;
-  for (Counter *C = registryHead().load(std::memory_order_acquire); C;
-       C = C->Next) {
+  for (const Counter *C : registeredCounters()) {
     auto It = Deltas.find(C);
     Snapshot.push_back(
         {C->name(), C->description(), It == Deltas.end() ? 0 : It->second});
   }
-  std::sort(Snapshot.begin(), Snapshot.end(),
-            [](const CounterValue &X, const CounterValue &Y) {
-              return std::strcmp(X.Name, Y.Name) < 0;
-            });
   return Snapshot;
 }
 
@@ -105,13 +105,4 @@ void cogent::support::writeCountersJson(JsonWriter &W,
   for (const CounterValue &Entry : Snapshot)
     W.member(Entry.Name, Entry.Value);
   W.endObject();
-}
-
-void cogent::support::bridgeProcessCounters(MetricRegistry &Registry,
-                                            const std::string &Prefix) {
-  // bridgeTo only ratchets upward, so repeated bridging of the monotonic
-  // process table is idempotent per value and safe from any thread.
-  for (const CounterValue &Entry : snapshotCounters())
-    Registry.counter(Prefix + Entry.Name, Entry.Description)
-        .bridgeTo(Entry.Value);
 }

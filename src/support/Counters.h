@@ -19,6 +19,11 @@
 /// (snapshotCounters/counterDelta remain for whole-process views, where
 /// cross-thread bleed is the desired semantics.)
 ///
+/// Each Counter is the one store of its count. The service's metric
+/// registry (support/Metrics.h) exports every counter as a read-only
+/// "process.<name>" view that reads value() at render time; nothing
+/// copies the values into a second table.
+///
 /// Naming convention: "<component>.<noun>" in kebab-case, e.g.
 /// "enumerator.hardware-pruned" — see docs/ARCHITECTURE.md §10.
 ///
@@ -42,8 +47,10 @@ class CounterScope;
 namespace counters_detail {
 /// Innermost CounterScope active on this thread (nullptr almost always);
 /// checked inline so the unscoped hot path stays one relaxed fetch_add
-/// plus one thread-local load.
-extern thread_local CounterScope *ActiveScope;
+/// plus one thread-local load. constinit: the initializer is a constant,
+/// so the access needs no dynamic-initialization wrapper call (UBSan
+/// flags that wrapper's null result on a thread's first increment).
+extern constinit thread_local CounterScope *ActiveScope;
 /// Out-of-line slow path: credits \p N to every scope on this thread's
 /// active chain.
 void recordScoped(const Counter *C, uint64_t N);
@@ -74,8 +81,7 @@ public:
   const char *description() const { return Description; }
 
 private:
-  friend std::vector<struct CounterValue> snapshotCounters();
-  friend class CounterScope;
+  friend std::vector<const Counter *> registeredCounters();
 
   const char *Name;
   const char *Description;
@@ -91,7 +97,13 @@ struct CounterValue {
   uint64_t Value = 0;
 };
 
-/// All registered counters, sorted by name for deterministic output.
+/// Every registered counter, sorted by name. The counters are the owners
+/// of their values; the service's metric registry exports them as
+/// read-at-render views ("process.<name>").
+std::vector<const Counter *> registeredCounters();
+
+/// All registered counters' values, sorted by name for deterministic
+/// output.
 using CounterSnapshot = std::vector<CounterValue>;
 CounterSnapshot snapshotCounters();
 

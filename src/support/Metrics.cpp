@@ -194,49 +194,42 @@ LatencyHistogram ConcurrentHistogram::shardSnapshot(size_t I) const {
 // MetricRegistry
 //===----------------------------------------------------------------------===//
 
-MetricRegistry::Entry &MetricRegistry::getOrCreate(const std::string &Name,
-                                                   MetricKind Kind,
-                                                   const std::string &Help,
-                                                   size_t NumShards) {
-  std::lock_guard<std::mutex> Guard(Lock);
+MetricRegistry::Entry &MetricRegistry::add(const std::string &Name,
+                                           MetricKind Kind,
+                                           const std::string &Help) {
   auto [It, Inserted] = Entries.try_emplace(Name);
-  Entry &E = It->second;
-  if (Inserted) {
-    E.Kind = Kind;
-    E.Help = Help;
-    switch (Kind) {
-    case MetricKind::Counter:
-      E.Counter = std::make_unique<MetricCounter>();
-      break;
-    case MetricKind::Gauge:
-      E.Gauge = std::make_unique<MetricGauge>();
-      break;
-    case MetricKind::Histogram:
-      E.Histogram = std::make_unique<ConcurrentHistogram>(NumShards);
-      break;
-    }
-  } else {
-    assert(E.Kind == Kind && "metric re-registered with a different kind");
-    if (E.Help.empty() && !Help.empty())
-      E.Help = Help;
-  }
-  return E;
+  assert(Inserted && "metric registered twice");
+  (void)Inserted;
+  It->second.Kind = Kind;
+  It->second.Help = Help;
+  return It->second;
 }
 
-MetricCounter &MetricRegistry::counter(const std::string &Name,
-                                       const std::string &Help) {
-  return *getOrCreate(Name, MetricKind::Counter, Help, 0).Counter;
+void MetricRegistry::counter(const std::string &Name, const std::string &Help,
+                             CounterReader Read) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  add(Name, MetricKind::Counter, Help).Count = std::move(Read);
 }
 
-MetricGauge &MetricRegistry::gauge(const std::string &Name,
-                                   const std::string &Help) {
-  return *getOrCreate(Name, MetricKind::Gauge, Help, 0).Gauge;
+void MetricRegistry::gauge(const std::string &Name, const std::string &Help,
+                           GaugeReader Read) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  add(Name, MetricKind::Gauge, Help).Level = std::move(Read);
 }
 
 ConcurrentHistogram &MetricRegistry::histogram(const std::string &Name,
                                                const std::string &Help,
                                                size_t NumShards) {
-  return *getOrCreate(Name, MetricKind::Histogram, Help, NumShards).Histogram;
+  std::lock_guard<std::mutex> Guard(Lock);
+  auto It = Entries.find(Name);
+  if (It != Entries.end()) {
+    assert(It->second.Kind == MetricKind::Histogram &&
+           "metric re-registered with a different kind");
+    return *It->second.Histogram;
+  }
+  Entry &E = add(Name, MetricKind::Histogram, Help);
+  E.Histogram = std::make_unique<ConcurrentHistogram>(NumShards);
+  return *E.Histogram;
 }
 
 std::optional<MetricKind> MetricRegistry::kindOf(const std::string &Name) const {
@@ -254,13 +247,13 @@ void MetricRegistry::writeJson(JsonWriter &W) const {
   W.beginObject();
   for (const auto &[Name, E] : Entries)
     if (E.Kind == MetricKind::Counter)
-      W.member(Name, E.Counter->value());
+      W.member(Name, E.Count());
   W.endObject();
   W.key("gauges");
   W.beginObject();
   for (const auto &[Name, E] : Entries)
     if (E.Kind == MetricKind::Gauge)
-      W.member(Name, E.Gauge->value());
+      W.member(Name, E.Level());
   W.endObject();
   W.key("histograms");
   W.beginObject();
@@ -315,11 +308,11 @@ MetricRegistry::renderPrometheus(const std::string &Namespace) const {
     switch (E.Kind) {
     case MetricKind::Counter:
       header(Full + "_total", E.Help, "counter");
-      Out += Full + "_total " + std::to_string(E.Counter->value()) + "\n";
+      Out += Full + "_total " + std::to_string(E.Count()) + "\n";
       break;
     case MetricKind::Gauge:
       header(Full, E.Help, "gauge");
-      Out += Full + " " + formatDouble(E.Gauge->value()) + "\n";
+      Out += Full + " " + formatDouble(E.Level()) + "\n";
       break;
     case MetricKind::Histogram: {
       LatencyHistogram H = E.Histogram->merged();

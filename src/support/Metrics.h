@@ -18,11 +18,13 @@
 ///    the hot path's critical section.
 ///  - ConcurrentHistogram: N mutex-guarded LatencyHistogram shards keyed
 ///    by the calling thread, merged on demand.
-///  - MetricRegistry: a thread-safe name -> metric table of monotonic
-///    counters, gauges and histograms with two deterministic exporters:
-///    a JSON object (via the repo's own JsonWriter) and the Prometheus
-///    text exposition format (counters/gauges as-is, histograms as
-///    quantile summaries).
+///  - MetricRegistry: a thread-safe name -> metric table with two
+///    deterministic exporters: a JSON object (via the repo's own
+///    JsonWriter) and the Prometheus text exposition format
+///    (counters/gauges as-is, histograms as quantile summaries). It owns
+///    the histograms; its counters and gauges are read-only views of
+///    tallies owned elsewhere, read when the registry renders, so a
+///    count is never kept in two places.
 ///
 /// Naming convention matches Counters.h: "<component>.<noun>" kebab-case
 /// ("service.latency-ms"); the Prometheus renderer sanitizes to
@@ -34,8 +36,8 @@
 #define COGENT_SUPPORT_METRICS_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -167,54 +169,32 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
 };
 
-/// A monotonic registry counter. Handles returned by MetricRegistry stay
-/// valid for the registry's lifetime.
-class MetricCounter {
-public:
-  void add(uint64_t N = 1) { Value_.fetch_add(N, std::memory_order_relaxed); }
-  MetricCounter &operator++() {
-    add(1);
-    return *this;
-  }
-  /// Raises the counter to \p V if below it (never decreases): the bridge
-  /// for mirroring an externally-maintained monotonic tally — the
-  /// process-wide support::Counter table, the service's atomic stats —
-  /// into the registry.
-  void bridgeTo(uint64_t V) {
-    uint64_t Cur = Value_.load(std::memory_order_relaxed);
-    while (Cur < V &&
-           !Value_.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
-      ;
-  }
-  uint64_t value() const { return Value_.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<uint64_t> Value_{0};
-};
-
-/// An instantaneous registry gauge.
-class MetricGauge {
-public:
-  void set(double V) { Value_.store(V, std::memory_order_relaxed); }
-  double value() const { return Value_.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> Value_{0.0};
-};
-
 /// Thread-safe name -> metric table with deterministic (name-sorted)
-/// exporters. Metrics are get-or-create and never removed; the returned
-/// references stay valid for the registry's lifetime. Re-asking for a
-/// name with a different kind is a programming error (asserted).
+/// exporters. Counters and gauges are read-only views: the registry keeps
+/// a reader, not a value, and calls it at render time, so each count has
+/// one owner (an atomic in the service, the repository or the process
+/// support::Counter table) and nothing is copied between stores. The
+/// exporters call the readers under the registry lock; a reader may take
+/// its owner's locks but must never call back into the registry.
+/// Histograms are owned by the registry: get-or-create, and the returned
+/// references stay valid for the registry's lifetime. Registering a view
+/// name twice, or re-asking for a name with a different kind, is a
+/// programming error (asserted).
 class MetricRegistry {
 public:
+  using CounterReader = std::function<uint64_t()>;
+  using GaugeReader = std::function<double()>;
+
   MetricRegistry() = default;
   MetricRegistry(const MetricRegistry &) = delete;
   MetricRegistry &operator=(const MetricRegistry &) = delete;
 
-  MetricCounter &counter(const std::string &Name,
-                         const std::string &Help = "");
-  MetricGauge &gauge(const std::string &Name, const std::string &Help = "");
+  /// Registers a monotonic counter whose value is \p Read().
+  void counter(const std::string &Name, const std::string &Help,
+               CounterReader Read);
+  /// Registers an instantaneous gauge whose value is \p Read().
+  void gauge(const std::string &Name, const std::string &Help,
+             GaugeReader Read);
   ConcurrentHistogram &histogram(const std::string &Name,
                                  const std::string &Help = "",
                                  size_t NumShards = 8);
@@ -240,13 +220,14 @@ private:
   struct Entry {
     MetricKind Kind;
     std::string Help;
-    std::unique_ptr<MetricCounter> Counter;
-    std::unique_ptr<MetricGauge> Gauge;
+    CounterReader Count;
+    GaugeReader Level;
     std::unique_ptr<ConcurrentHistogram> Histogram;
   };
 
-  Entry &getOrCreate(const std::string &Name, MetricKind Kind,
-                     const std::string &Help, size_t NumShards);
+  /// Inserts \p Name (the caller holds Lock); asserts it is new.
+  Entry &add(const std::string &Name, MetricKind Kind,
+             const std::string &Help);
 
   mutable std::mutex Lock;
   /// std::map: sorted iteration gives the exporters their determinism.
@@ -256,13 +237,6 @@ private:
 /// Sanitizes \p Name for Prometheus: every character outside
 /// [a-zA-Z0-9_] becomes '_'; a leading digit gains a '_' prefix.
 std::string prometheusName(const std::string &Name);
-
-/// Bridges the process-wide support::Counter table (snapshotCounters)
-/// into \p Registry as monotonic counters named "<Prefix><name>". Safe to
-/// call repeatedly — values only ratchet upward. Defined in Counters.cpp
-/// next to the snapshot it consumes.
-void bridgeProcessCounters(MetricRegistry &Registry,
-                           const std::string &Prefix = "process.");
 
 } // namespace support
 } // namespace cogent

@@ -36,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,6 +88,24 @@ double exactQuantile(std::vector<double> Samples, double P) {
   size_t Rank = static_cast<size_t>(std::ceil(P / 100.0 * N));
   Rank = std::min(std::max<size_t>(Rank, 1), Samples.size());
   return Samples[Rank - 1];
+}
+
+/// Prometheus text -> {sample name (with labels): value}; comment lines
+/// skipped.
+std::map<std::string, double> prometheusSamples(const std::string &Prom) {
+  std::map<std::string, double> Samples;
+  std::istringstream Lines(Prom);
+  std::string Line;
+  while (std::getline(Lines, Line)) {
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    size_t Space = Line.rfind(' ');
+    EXPECT_NE(Space, std::string::npos) << Line;
+    if (Space != std::string::npos)
+      Samples[Line.substr(0, Space)] =
+          std::strtod(Line.c_str() + Space + 1, nullptr);
+  }
+  return Samples;
 }
 
 //===----------------------------------------------------------------------===//
@@ -250,9 +269,10 @@ TEST(PercentileMs, EdgeCases) {
 
 TEST(MetricRegistry, JsonAndPrometheusRenderTheSameState) {
   MetricRegistry Registry;
-  Registry.counter("service.submitted", "requests in").add(42);
-  Registry.counter("service.failed").add(3);
-  Registry.gauge("service.queue-depth").set(7.5);
+  // Counters and gauges are read-only views of values owned elsewhere.
+  Registry.counter("service.submitted", "requests in", [] { return 42; });
+  Registry.counter("service.failed", "", [] { return 3; });
+  Registry.gauge("service.queue-depth", "", [] { return 7.5; });
   ConcurrentHistogram &H = Registry.histogram("service.latency-ms");
   for (int I = 1; I <= 100; ++I)
     H.record(static_cast<double>(I));
@@ -286,18 +306,8 @@ TEST(MetricRegistry, JsonAndPrometheusRenderTheSameState) {
   ASSERT_TRUE(Latency->findNumber("p50_ms").has_value());
 
   // The Prometheus text must carry the same values for the same metrics.
-  std::string Prom = Registry.renderPrometheus("cogent");
-  std::map<std::string, double> PromSamples;
-  std::istringstream Lines(Prom);
-  std::string Line;
-  while (std::getline(Lines, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    size_t Space = Line.rfind(' ');
-    ASSERT_NE(Space, std::string::npos) << Line;
-    PromSamples[Line.substr(0, Space)] =
-        std::strtod(Line.c_str() + Space + 1, nullptr);
-  }
+  std::map<std::string, double> PromSamples =
+      prometheusSamples(Registry.renderPrometheus("cogent"));
   EXPECT_EQ(PromSamples.at("cogent_service_submitted_total"), 42.0);
   EXPECT_EQ(PromSamples.at("cogent_service_failed_total"), 3.0);
   EXPECT_EQ(PromSamples.at("cogent_service_queue_depth"), 7.5);
@@ -488,6 +498,45 @@ TEST(ServiceTimelines, ShedRequestsGetTerminalShedEvents) {
   EXPECT_EQ(Terminals.count(RequestEventKind::Failed), 2u);
 }
 
+/// Every ServiceStats field next to the registry counter that exports it.
+std::vector<std::pair<std::string, uint64_t>>
+statsByCounter(const ServiceStats &S) {
+  return {{"service.submitted", S.Submitted},
+          {"service.completed", S.Completed},
+          {"service.failed", S.Failed},
+          {"service.shed-queue-full", S.ShedQueueFull},
+          {"service.shed-overloaded", S.ShedOverloaded},
+          {"service.shed-expired", S.ShedExpired},
+          {"service.retries", S.Retries},
+          {"service.coalesced", S.Coalesced},
+          {"cache.hits", S.CacheHits},
+          {"cache.misses", S.CacheMisses},
+          {"cache.quarantined", S.Quarantined},
+          {"service.breaker-trips", S.BreakerTrips},
+          {"service.breaker-resets", S.BreakerResets},
+          {"service.deadline-degraded", S.DeadlineDegraded},
+          {"service.deadline-expired", S.DeadlineExpired}};
+}
+
+/// Asserts that \p Json and \p Prom both carry every ServiceStats field
+/// of \p Stats under its counter name.
+void expectStatsExported(const ServiceStats &Stats, const std::string &Json,
+                         const std::string &Prom) {
+  ErrorOr<JsonValue> Parsed = support::parseJson(Json);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.errorMessage();
+  const JsonValue *Counters = Parsed->find("counters");
+  ASSERT_NE(Counters, nullptr);
+  std::map<std::string, double> PromSamples = prometheusSamples(Prom);
+  for (const auto &[Name, Value] : statsByCounter(Stats)) {
+    EXPECT_EQ(Counters->findNumber(Name), static_cast<double>(Value))
+        << Name;
+    auto It = PromSamples.find("cogent_" + support::prometheusName(Name) +
+                               "_total");
+    ASSERT_NE(It, PromSamples.end()) << Name;
+    EXPECT_EQ(It->second, static_cast<double>(Value)) << Name;
+  }
+}
+
 TEST(ServiceTimelines, SnapshotAndPrometheusAgreeOnServiceState) {
   ServiceOptions Options;
   Options.NumWorkers = 2;
@@ -497,6 +546,13 @@ TEST(ServiceTimelines, SnapshotAndPrometheusAgreeOnServiceState) {
   Request.Extents = {{'a', 16}, {'b', 16}, {'c', 16}};
   for (int I = 0; I < 4; ++I)
     ASSERT_TRUE(Service.process(Request).hasValue());
+  ServiceRequest Expired = Request;
+  Expired.DeadlineMs = -1.0;
+  EXPECT_FALSE(Service.process(Expired).hasValue());
+  ServiceRequest Invalid;
+  Invalid.Spec = "zz";
+  Invalid.Extents = {{'z', 4}};
+  EXPECT_FALSE(Service.process(Invalid).hasValue());
 
   std::string Json = Service.telemetrySnapshot();
   std::string Err;
@@ -505,8 +561,10 @@ TEST(ServiceTimelines, SnapshotAndPrometheusAgreeOnServiceState) {
   ASSERT_TRUE(Parsed.hasValue());
   const JsonValue *Counters = Parsed->find("counters");
   ASSERT_NE(Counters, nullptr);
-  EXPECT_EQ(Counters->findNumber("service.submitted"), 4.0);
+  EXPECT_EQ(Counters->findNumber("service.submitted"), 6.0);
   EXPECT_EQ(Counters->findNumber("service.completed"), 4.0);
+  EXPECT_EQ(Counters->findNumber("service.failed"), 1.0);
+  EXPECT_EQ(Counters->findNumber("service.shed-expired"), 1.0);
   EXPECT_EQ(Counters->findNumber("cache.hits"), 3.0);
   const JsonValue *Hists = Parsed->find("histograms");
   ASSERT_NE(Hists, nullptr);
@@ -515,7 +573,7 @@ TEST(ServiceTimelines, SnapshotAndPrometheusAgreeOnServiceState) {
   EXPECT_EQ(Latency->findNumber("count"), 4.0);
 
   std::string Prom = Service.telemetryPrometheus();
-  EXPECT_NE(Prom.find("cogent_service_submitted_total 4"),
+  EXPECT_NE(Prom.find("cogent_service_submitted_total 6"),
             std::string::npos)
       << Prom;
   EXPECT_NE(Prom.find("cogent_service_completed_total 4"),
@@ -523,6 +581,58 @@ TEST(ServiceTimelines, SnapshotAndPrometheusAgreeOnServiceState) {
   EXPECT_NE(Prom.find("cogent_cache_hits_total 3"), std::string::npos);
   EXPECT_NE(Prom.find("cogent_service_latency_ms_count 4"),
             std::string::npos);
+  expectStatsExported(Service.stats(), Json, Prom);
+}
+
+TEST(ServiceTimelines, ExportersRenderWhileClientsSubmit) {
+  // A third thread renders both exporters while two clients submit: the
+  // render reads every count from its owner under the registry lock
+  // (taking the queue, event-log and cache-shard locks), so this is the
+  // case the TSan lane holds to no races and no lock-order inversions.
+  ServiceOptions Options;
+  Options.NumWorkers = 2;
+  GenerationService Service(gpu::makeV100(), Options);
+  std::atomic<bool> ClientsDone{false};
+  std::atomic<unsigned> Renders{0};
+  std::thread Renderer([&] {
+    double LastSubmitted = 0.0;
+    do {
+      std::string Json = Service.telemetrySnapshot();
+      std::string Prom = Service.telemetryPrometheus();
+      ErrorOr<JsonValue> Parsed = support::parseJson(Json);
+      ASSERT_TRUE(Parsed.hasValue()) << Parsed.errorMessage();
+      double Submitted = Parsed->find("counters")
+                             ->findNumber("service.submitted")
+                             .value_or(-1.0);
+      EXPECT_GE(Submitted, LastSubmitted) << "counters never go backwards";
+      LastSubmitted = Submitted;
+      EXPECT_NE(Prom.find("cogent_service_submitted_total"),
+                std::string::npos);
+      Renders.fetch_add(1, std::memory_order_relaxed);
+    } while (!ClientsDone.load(std::memory_order_acquire));
+  });
+  std::vector<std::thread> Clients;
+  for (unsigned C = 0; C < 2; ++C)
+    Clients.emplace_back([&Service, C] {
+      for (unsigned R = 0; R < 12; ++R) {
+        ServiceRequest Request;
+        Request.Spec = "ab-ac-cb";
+        int64_t Extent = 8 + 4 * static_cast<int64_t>((C + R) % 3);
+        Request.Extents = {{'a', Extent}, {'b', Extent}, {'c', Extent}};
+        EXPECT_TRUE(Service.process(Request).hasValue());
+      }
+    });
+  for (std::thread &Client : Clients)
+    Client.join();
+  ClientsDone.store(true, std::memory_order_release);
+  Renderer.join();
+  EXPECT_GE(Renders.load(), 1u);
+
+  ServiceStats Stats = Service.stats();
+  EXPECT_EQ(Stats.Submitted, 24u);
+  EXPECT_EQ(Stats.Completed, 24u);
+  expectStatsExported(Stats, Service.telemetrySnapshot(),
+                      Service.telemetryPrometheus());
 }
 
 #ifdef COGENT_CHAOS_ENABLED
@@ -589,7 +699,56 @@ TEST(ServiceTimelines, ChaosStormKeepsEveryTimelineComplete) {
                          Stats.ShedExpired)
         << "seed " << Seed;
     EXPECT_EQ(Completed.load() + Failed.load(), 32u) << "seed " << Seed;
+
+    // Stats agree with the timelines: a degraded request counts once
+    // however many attempts it banded, and every retry and coalesce has
+    // its event.
+    uint64_t Banded = 0, Backoffs = 0, CoalescedEvents = 0;
+    for (const auto &[Id, Timeline] : ById) {
+      bool SawBand = false;
+      for (const RequestEvent &Event : Timeline) {
+        SawBand |= Event.Kind == RequestEventKind::DeadlineBand;
+        Backoffs += Event.Kind == RequestEventKind::Backoff ? 1 : 0;
+        CoalescedEvents += Event.Kind == RequestEventKind::Coalesced ? 1 : 0;
+      }
+      Banded += SawBand ? 1 : 0;
+    }
+    EXPECT_EQ(Stats.DeadlineDegraded, Banded) << "seed " << Seed;
+    EXPECT_EQ(Stats.Retries, Backoffs) << "seed " << Seed;
+    EXPECT_EQ(Stats.Coalesced, CoalescedEvents) << "seed " << Seed;
   }
+}
+
+TEST(ServiceTimelines, DeadlineDegradedCountsRequestsNotAttempts) {
+  // Every attempt bands onto a degraded rung (the deadline is far, but
+  // below the minimal-tile threshold) and every emission is truncated,
+  // so the one request runs three banded attempts: three deadline-band
+  // events, one degraded request.
+  ServiceOptions Options;
+  Options.NumWorkers = 1;
+  Options.MaxRetries = 2;
+  Options.RetryBackoffBaseMs = 0.05;
+  Options.RetryBackoffMaxMs = 0.2;
+  Options.DegradeMinimalTileMs = 1e9;
+  Options.Generation.Chaos.Seed = 7;
+  Options.Generation.Chaos.Sites =
+      support::chaosSiteBit(support::ChaosSite::CodegenTruncate);
+  Options.Generation.Chaos.FireProbability = 1.0;
+  GenerationService Service(gpu::makeV100(), Options);
+
+  ServiceRequest Request;
+  Request.Spec = "ab-ac-cb";
+  Request.Extents = {{'a', 32}, {'b', 32}, {'c', 32}};
+  Request.DeadlineMs = 60000.0;
+  EXPECT_FALSE(Service.process(Request).hasValue());
+
+  size_t Bands = 0;
+  for (const RequestEvent &Event : Service.telemetry().events())
+    Bands += Event.Kind == RequestEventKind::DeadlineBand ? 1 : 0;
+  ServiceStats Stats = Service.stats();
+  EXPECT_EQ(Stats.Retries, 2u);
+  EXPECT_EQ(Bands, 3u);
+  EXPECT_EQ(Stats.DeadlineDegraded, 1u);
 }
 #endif // COGENT_CHAOS_ENABLED
 
