@@ -63,6 +63,22 @@ void BM_EnumerateSd2_1(benchmark::State &State) {
 }
 BENCHMARK(BM_EnumerateSd2_1)->Unit(benchmark::kMillisecond);
 
+// Enumeration over the cold_top1 inputs: all 48 suite entries at suite
+// extents on P100 and V100 (96 enumerations per iteration).
+void BM_EnumerateSuite(benchmark::State &State) {
+  std::vector<core::Enumerator> Enums;
+  for (const gpu::DeviceSpec &Device : {gpu::makeP100(), gpu::makeV100()})
+    for (const suite::SuiteEntry &Entry : suite::tccgSuite())
+      Enums.emplace_back(Entry.contraction(), Device);
+  for (auto _ : State)
+    for (const core::Enumerator &Enum : Enums) {
+      std::vector<core::KernelConfig> Configs = Enum.enumerate();
+      benchmark::DoNotOptimize(Configs);
+    }
+  State.counters["inputs"] = static_cast<double>(Enums.size());
+}
+BENCHMARK(BM_EnumerateSuite)->Unit(benchmark::kMillisecond);
+
 void BM_CostModelSingleConfig(benchmark::State &State) {
   gpu::DeviceSpec Device = gpu::makeV100();
   ir::Contraction TC = entryContraction(31);

@@ -79,14 +79,18 @@ fi
 ctest --test-dir build 2>&1 | tee -a test_output.txt
 
 # Fuzz smoke test under AddressSanitizer + UBSan: the whole-pipeline fuzz
-# harness and the counters/trace suite re-run in an instrumented tree so
-# memory errors and undefined behaviour surface even when the
-# uninstrumented asserts stay quiet. UBSan recovers by default (prints,
-# exits 0); halt_on_error makes any report fail the lane.
+# harness, the counters/trace suite and the enumerator equivalence sweep
+# (its per-partial products are int64 multiplies over hostile extents and
+# devices) re-run in an instrumented tree so memory errors and undefined
+# behaviour surface even when the uninstrumented asserts stay quiet. UBSan
+# recovers by default (prints, exits 0); halt_on_error makes any report
+# fail the lane.
 configure build-asan -DCOGENT_SANITIZE=address
-cmake --build build-asan --target test_fuzz_pipeline test_observability
+cmake --build build-asan --target test_fuzz_pipeline test_observability \
+  test_enumerator_equivalence
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  ctest --test-dir build-asan -R 'test_fuzz_pipeline|test_observability' \
+  ctest --test-dir build-asan \
+  -R 'test_fuzz_pipeline|test_observability|test_enumerator_equivalence' \
   --output-on-failure 2>&1 | tee asan_output.txt
 
 # ThreadSanitizer lane for the concurrent service layer: the worker pool,

@@ -6,13 +6,13 @@
 
 #include "core/Enumerator.h"
 
-#include "core/CostModel.h"
 #include "gpu/Occupancy.h"
 #include "support/Counters.h"
 #include "support/FaultInjection.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -232,6 +232,69 @@ enumerateK(const Contraction &TC, const std::vector<int64_t> &TBSizes) {
   return Result;
 }
 
+bool listContains(const std::vector<IndexTile> &List, char Name) {
+  for (const IndexTile &T : List)
+    if (T.Name == Name)
+      return true;
+  return false;
+}
+
+/// What the prune tests read of one partial, computed once per partial so
+/// the product loop runs on integers. An invalid partial's other fields
+/// are never used: every triple holding it is invalid.
+struct PartialSummary {
+  /// KernelConfig::validateSide accepted the partial.
+  bool Valid = false;
+  /// Products of the TB and the register tiles.
+  int64_t TBProduct = 1;
+  int64_t RegProduct = 1;
+  /// The side's factor of the grid: ceil(N_i / T_i) over the externals of
+  /// its input (1 for K).
+  int64_t Grid = 1;
+  /// The partial's share of the FVI rule (§IV-A2). An X or Y partial
+  /// answers for its input's FVI when that is external: mapped on the TB
+  /// list or register-tiled with a tile > 1. A K partial answers for each
+  /// input FVI that is internal: staged in TBk. Extent-1 FVIs pass.
+  bool FviOk = true;
+};
+
+PartialSummary summarize(const Contraction &TC, Operand XInput,
+                         ConfigSide Side, const PartialConfig &Partial) {
+  PartialSummary Sum;
+  Sum.Valid = KernelConfig::validateSide(TC, XInput, Side, Partial.TB,
+                                         Partial.Reg)
+                  .empty();
+  if (!Sum.Valid)
+    return Sum;
+  Sum.TBProduct = productOfTiles(Partial.TB);
+  Sum.RegProduct = productOfTiles(Partial.Reg);
+  Operand YInput = XInput == Operand::A ? Operand::B : Operand::A;
+  auto tileOf = [&](char Name) -> int64_t {
+    for (const std::vector<IndexTile> *List : {&Partial.TB, &Partial.Reg})
+      for (const IndexTile &T : *List)
+        if (T.Name == Name)
+          return T.Tile;
+    return 1;
+  };
+  auto needsCover = [&](char Fvi, bool Internal) {
+    return TC.extent(Fvi) != 1 && TC.isInternal(Fvi) == Internal;
+  };
+  if (Side == ConfigSide::K) {
+    for (char Fvi : {TC.fvi(XInput), TC.fvi(YInput)})
+      if (needsCover(Fvi, /*Internal=*/true) && !listContains(Partial.TB, Fvi))
+        Sum.FviOk = false;
+    return Sum;
+  }
+  Operand Input = Side == ConfigSide::X ? XInput : YInput;
+  for (char Name : TC.indices(Input))
+    if (TC.isExternal(Name))
+      Sum.Grid *= (TC.extent(Name) + tileOf(Name) - 1) / tileOf(Name);
+  char Fvi = TC.fvi(Input);
+  if (needsCover(Fvi, /*Internal=*/false))
+    Sum.FviOk = listContains(Partial.TB, Fvi) || tileOf(Fvi) > 1;
+  return Sum;
+}
+
 } // namespace
 
 Enumerator::Enumerator(const Contraction &TCIn,
@@ -298,44 +361,23 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
                     Options.RegSizes);
   std::vector<PartialConfig> KPartials = enumerateK(TC, Options.TBSizes);
 
+  std::vector<PartialSummary> XSums, YSums, KSums;
+  for (const PartialConfig &X : XPartials)
+    XSums.push_back(summarize(TC, XInput, ConfigSide::X, X));
+  for (const PartialConfig &Y : YPartials)
+    YSums.push_back(summarize(TC, XInput, ConfigSide::Y, Y));
+  for (const PartialConfig &K : KPartials)
+    KSums.push_back(summarize(TC, XInput, ConfigSide::K, K));
+
   EnumerationStats Local;
   Local.RawConfigs = static_cast<uint64_t>(XPartials.size()) *
                      YPartials.size() * KPartials.size();
 
-  // FVI performance constraints (§IV-A2): each input's own FVI must be part
-  // of the dimension that walks it during coalesced loads.
-  char XFvi = TC.fvi(XInput);
-  char YFvi = TC.fvi(YInput);
-  auto listContains = [](const std::vector<IndexTile> &List, char Name) {
-    for (const IndexTile &T : List)
-      if (T.Name == Name)
-        return true;
-    return false;
-  };
-
-  auto passesFvi = [&](const KernelConfig &Config) {
-    auto coversInputFvi = [&](char Fvi, const std::vector<IndexTile> &TBList) {
-      if (TC.extent(Fvi) == 1)
-        return true; // degenerate dimension: nothing to coalesce
-      if (TC.isInternal(Fvi))
-        return listContains(Config.TBk, Fvi);
-      // External: it must be mapped with a real tile on its side's TB list
-      // or covered fully by a register tile (which still yields contiguous
-      // per-thread runs during the flattened slice load).
-      return listContains(TBList, Fvi) ||
-             Config.tileOf(Fvi) > 1;
-    };
-    return coversInputFvi(XFvi, Config.TBx) && coversInputFvi(YFvi, Config.TBy);
-  };
-
-  enum class PruneReason { None, Invalid, Hardware, Performance };
-  struct Candidate {
-    KernelConfig Config;
-    PruneReason Reason = PruneReason::None;
-  };
-
-  std::vector<KernelConfig> Survivors;
-  std::vector<KernelConfig> PerfPrunedOnly; // for relaxation
+  // Surviving and performance-pruned (x, y, k) partial triples; the
+  // pruned ones are materialized only for relaxation.
+  using Triple = std::array<size_t, 3>;
+  std::vector<Triple> Survivors;
+  std::vector<Triple> PerfPrunedOnly;
 
   // Cooperative budget checks: the candidate cap is tested per config, the
   // deadline every DeadlineStride configs (a steady_clock read per
@@ -365,29 +407,36 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
   if (support::chaosShouldFire(support::ChaosSite::EnumeratorAlloc))
     throw std::bad_alloc();
 
-  for (const PartialConfig &X : XPartials) {
-    for (const PartialConfig &Y : YPartials) {
-      for (const PartialConfig &K : KPartials) {
+  // Every prune test reads the three summaries only: what depends on X and
+  // Y alone is computed once per (x, y) pair.
+  for (size_t XI = 0; XI < XSums.size(); ++XI) {
+    const PartialSummary &X = XSums[XI];
+    for (size_t YI = 0; YI < YSums.size(); ++YI) {
+      const PartialSummary &Y = YSums[YI];
+      bool XYValid = X.Valid && Y.Valid;
+      int64_t Threads = X.TBProduct * Y.TBProduct;
+      unsigned Regs = XYValid ? KernelConfig::registersPerThread(
+                                    X.RegProduct, Y.RegProduct,
+                                    Options.ElementSize)
+                              : 0;
+      bool XYFviOk = X.FviOk && Y.FviOk;
+      int64_t Grid = X.Grid * Y.Grid;
+      for (size_t KI = 0; KI < KSums.size(); ++KI) {
+        const PartialSummary &K = KSums[KI];
         if (budgetStop())
           goto searchDone;
         ++Local.Examined;
-        KernelConfig Config;
-        Config.XInput = XInput;
-        Config.TBx = X.TB;
-        Config.RegX = X.Reg;
-        Config.TBy = Y.TB;
-        Config.RegY = Y.Reg;
-        Config.TBk = K.TB;
-
-        if (!Config.validate(TC).empty()) {
+        if (!XYValid || !K.Valid) {
           ++Local.InvalidConfigs;
           continue;
         }
 
         // Hardware constraints.
-        int64_t Threads = Config.threadsPerBlock();
-        int64_t Smem = Config.smemBytes(Options.ElementSize);
-        unsigned Regs = Config.registersPerThread(Options.ElementSize);
+        int64_t Smem =
+            KernelConfig::smemElements(X.TBProduct, X.RegProduct,
+                                       Y.TBProduct, Y.RegProduct,
+                                       K.TBProduct) *
+            Options.ElementSize;
         if (Threads > Device.MaxThreadsPerBlock ||
             Smem > static_cast<int64_t>(Device.SharedMemPerBlock) ||
             Regs > Device.MaxRegistersPerThread) {
@@ -397,10 +446,10 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
 
         // Performance constraints.
         bool PerfOk = true;
-        if (Options.EnforceFviConstraints && !passesFvi(Config))
+        if (Options.EnforceFviConstraints && !(XYFviOk && K.FviOk))
           PerfOk = false;
         if (PerfOk && Options.EnforceMinBlocks &&
-            Config.numThreadBlocks(TC) < Options.MinThreadBlocks)
+            Grid < Options.MinThreadBlocks)
           PerfOk = false;
         if (PerfOk && Options.MinOccupancy > 0.0) {
           gpu::BlockResources Block;
@@ -413,10 +462,10 @@ Enumerator::enumerate(EnumerationStats *Stats) const {
         }
         if (!PerfOk) {
           ++Local.PerformancePruned;
-          PerfPrunedOnly.push_back(std::move(Config));
+          PerfPrunedOnly.push_back({XI, YI, KI});
           continue;
         }
-        Survivors.push_back(std::move(Config));
+        Survivors.push_back({XI, YI, KI});
       }
     }
   }
@@ -443,12 +492,26 @@ searchDone:
          {"raw_configs", std::to_string(Local.RawConfigs)}});
   }
 
+  const std::vector<Triple> *Chosen = &Survivors;
   if (Survivors.empty() && Options.RelaxWhenEmpty && !PerfPrunedOnly.empty()) {
     ++NumRelaxations;
     support::traceInstant(
         "enumerator.relaxation",
         {{"candidates", std::to_string(PerfPrunedOnly.size())}});
-    return PerfPrunedOnly;
+    Chosen = &PerfPrunedOnly;
   }
-  return Survivors;
+
+  std::vector<KernelConfig> Configs;
+  Configs.reserve(Chosen->size());
+  for (const auto &[XI, YI, KI] : *Chosen) {
+    KernelConfig &Config = Configs.emplace_back();
+    Config.XInput = XInput;
+    Config.TBx = XPartials[XI].TB;
+    Config.RegX = XPartials[XI].Reg;
+    Config.TBy = YPartials[YI].TB;
+    Config.RegY = YPartials[YI].Reg;
+    Config.TBk = KPartials[KI].TB;
+    assert(Config.validate(TC).empty() && "valid sides, invalid config");
+  }
+  return Configs;
 }

@@ -14,6 +14,13 @@
 /// counts) and performance constraints (input-FVI coalescing, minimum
 /// thread-block count, minimum occupancy).
 ///
+/// Every prune test is a function of per-partial quantities (tile
+/// products, the side's grid factor, its share of the FVI rule, its
+/// KernelConfig::validateSide verdict), so each partial is summarized once
+/// and the product loop runs on integers. A KernelConfig is built only for
+/// a survivor; performance-pruned candidates are kept as (x, y, k) index
+/// triples and built only when relaxation returns them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COGENT_CORE_ENUMERATOR_H

@@ -7,12 +7,14 @@
 #include "core/KernelConfig.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <initializer_list>
 
 using namespace cogent;
 using namespace cogent::core;
 
-static int64_t productOfTiles(const std::vector<IndexTile> &Tiles) {
+int64_t cogent::core::productOfTiles(const std::vector<IndexTile> &Tiles) {
   int64_t Product = 1;
   for (const IndexTile &T : Tiles)
     Product *= T.Tile;
@@ -102,14 +104,11 @@ int64_t KernelConfig::numSteps(const ir::Contraction &TC) const {
   return TileMap(*this).numSteps(TC);
 }
 
-int64_t KernelConfig::smemElements() const {
-  return (tbxSize() * regXSize() + tbySize() * regYSize()) * tbkSize();
-}
-
-unsigned KernelConfig::registersPerThread(unsigned ElementSize) const {
+unsigned KernelConfig::registersPerThread(int64_t RegX, int64_t RegY,
+                                          unsigned ElementSize) {
   assert((ElementSize == 4 || ElementSize == 8) && "unsupported element size");
   unsigned RegsPerElement = ElementSize / 4;
-  int64_t Values = regXSize() * regYSize() + regXSize() + regYSize();
+  int64_t Values = RegX * RegY + RegX + RegY;
   // ~28 registers of index arithmetic / loop state in generated kernels.
   int64_t Total = Values * RegsPerElement + 28;
   return static_cast<unsigned>(std::min<int64_t>(Total, 512));
@@ -125,22 +124,36 @@ KernelConfig KernelConfig::clampedTo(const ir::Contraction &TC) const {
   return Clamped;
 }
 
-std::string KernelConfig::validate(const ir::Contraction &TC) const {
-  // Each index mapped at most once.
-  std::array<int, 26> SeenCount{};
-  for (const std::vector<IndexTile> *List : {&TBx, &TBy, &RegX, &RegY, &TBk})
+/// Every index of \p Lists has a name in 'a'..'z' and is mapped at most
+/// once across them.
+static std::string
+checkMappedOnce(std::initializer_list<const std::vector<IndexTile> *> Lists) {
+  uint32_t Seen = 0, Twice = 0;
+  for (const std::vector<IndexTile> *List : Lists)
     for (const IndexTile &T : *List) {
       if (T.Name < 'a' || T.Name > 'z')
         return "config maps invalid index name";
-      ++SeenCount[T.Name - 'a'];
+      uint32_t Bit = 1u << (T.Name - 'a');
+      Twice |= Seen & Bit;
+      Seen |= Bit;
     }
-  for (int S = 0; S < 26; ++S)
-    if (SeenCount[S] > 1)
-      return std::string("index '") + static_cast<char>('a' + S) +
-             "' mapped to more than one dimension";
+  if (Twice != 0)
+    return std::string("index '") +
+           static_cast<char>('a' + std::countr_zero(Twice)) +
+           "' mapped to more than one dimension";
+  return std::string();
+}
+
+std::string KernelConfig::validateSide(const ir::Contraction &TC,
+                                       ir::Operand XInput, ConfigSide Side,
+                                       const std::vector<IndexTile> &TB,
+                                       const std::vector<IndexTile> &Reg) {
+  assert((Side != ConfigSide::K || Reg.empty()) && "TBk has no register tile");
+  if (std::string Msg = checkMappedOnce({&TB, &Reg}); !Msg.empty())
+    return Msg;
 
   // Tiles in range.
-  for (const std::vector<IndexTile> *List : {&TBx, &TBy, &RegX, &RegY, &TBk})
+  for (const std::vector<IndexTile> *List : {&TB, &Reg})
     for (const IndexTile &T : *List) {
       if (T.Tile < 1)
         return std::string("index '") + T.Name + "' has tile < 1";
@@ -149,43 +162,57 @@ std::string KernelConfig::validate(const ir::Contraction &TC) const {
     }
 
   // Kind and ownership rules.
-  ir::Operand YIn = yInput();
-  auto checkExternalsFrom = [&](const std::vector<IndexTile> &List,
-                                ir::Operand Input,
-                                const char *Where) -> std::string {
+  if (Side == ConfigSide::K) {
+    for (const IndexTile &T : TB)
+      if (!TC.isInternal(T.Name))
+        return std::string("external index '") + T.Name + "' mapped on TBk";
+    return std::string();
+  }
+  bool IsX = Side == ConfigSide::X;
+  ir::Operand Input =
+      IsX ? XInput
+          : (XInput == ir::Operand::A ? ir::Operand::B : ir::Operand::A);
+  auto checkExternals = [&](const std::vector<IndexTile> &List,
+                            const char *Where) -> std::string {
     for (const IndexTile &T : List) {
       if (!TC.isExternal(T.Name))
         return std::string("internal index '") + T.Name + "' mapped on " +
                Where;
       if (TC.inputContaining(T.Name) != Input)
         return std::string("index '") + T.Name + "' on " + Where +
-               " does not belong to the " +
-               (Input == XInput ? "X" : "Y") + " input";
+               " does not belong to the " + (IsX ? "X" : "Y") + " input";
     }
     return std::string();
   };
-  if (std::string Msg = checkExternalsFrom(TBx, XInput, "TBx"); !Msg.empty())
+  if (std::string Msg = checkExternals(TB, IsX ? "TBx" : "TBy");
+      !Msg.empty())
     return Msg;
-  if (std::string Msg = checkExternalsFrom(RegX, XInput, "RegX"); !Msg.empty())
+  if (std::string Msg = checkExternals(Reg, IsX ? "RegX" : "RegY");
+      !Msg.empty())
     return Msg;
-  if (std::string Msg = checkExternalsFrom(TBy, YIn, "TBy"); !Msg.empty())
-    return Msg;
-  if (std::string Msg = checkExternalsFrom(RegY, YIn, "RegY"); !Msg.empty())
-    return Msg;
-  for (const IndexTile &T : TBk)
-    if (!TC.isInternal(T.Name))
-      return std::string("external index '") + T.Name + "' mapped on TBk";
+  if (!IsX)
+    return std::string();
 
   // The X input must contain the output FVI, which must lead TBx.
   char OutFvi = TC.fvi(ir::Operand::C);
   if (TC.inputContaining(OutFvi) != XInput)
     return "XInput does not contain the output tensor's FVI";
-  if (TBx.empty() || TBx.front().Name != OutFvi)
+  if (TB.empty() || TB.front().Name != OutFvi)
     return "TBx must start with the output tensor's FVI";
-
-  if (threadsPerBlock() < 1)
-    return "empty thread block";
   return std::string();
+}
+
+std::string KernelConfig::validate(const ir::Contraction &TC) const {
+  // Each index mapped at most once across the sides too, so a name placed
+  // on two sides reports as a double mapping.
+  std::string Msg = checkMappedOnce({&TBx, &TBy, &RegX, &RegY, &TBk});
+  if (Msg.empty())
+    Msg = validateSide(TC, XInput, ConfigSide::X, TBx, RegX);
+  if (Msg.empty())
+    Msg = validateSide(TC, XInput, ConfigSide::Y, TBy, RegY);
+  if (Msg.empty())
+    Msg = validateSide(TC, XInput, ConfigSide::K, TBk, {});
+  return Msg;
 }
 
 std::string KernelConfig::toString() const {

@@ -37,6 +37,13 @@ struct IndexTile {
   }
 };
 
+/// Product of the tiles of \p Tiles (1 for an empty list).
+int64_t productOfTiles(const std::vector<IndexTile> &Tiles);
+
+/// The pair of lists one side of a configuration owns: X = (TBx, RegX),
+/// Y = (TBy, RegY), K = (TBk; no register tile).
+enum class ConfigSide { X, Y, K };
+
 /// A complete mapping + tile-size choice for one contraction (Table II).
 ///
 /// XInput identifies the input tensor that contains the output's FVI; its
@@ -84,14 +91,27 @@ struct KernelConfig {
 
   /// Shared-memory elements staged per step:
   /// TBx*REGx*TBk (for the X input) + TBy*REGy*TBk (for the Y input).
-  int64_t smemElements() const;
+  int64_t smemElements() const {
+    return smemElements(tbxSize(), regXSize(), tbySize(), regYSize(),
+                        tbkSize());
+  }
   int64_t smemBytes(unsigned ElementSize) const {
     return smemElements() * ElementSize;
+  }
+  /// smemElements() from the five tile products.
+  static int64_t smemElements(int64_t TBx, int64_t RegX, int64_t TBy,
+                              int64_t RegY, int64_t TBk) {
+    return (TBx * RegX + TBy * RegY) * TBk;
   }
 
   /// Estimated 32-bit registers per thread: the C accumulator tile, the two
   /// staging vectors, and a fixed addressing-arithmetic overhead.
-  unsigned registersPerThread(unsigned ElementSize) const;
+  unsigned registersPerThread(unsigned ElementSize) const {
+    return registersPerThread(regXSize(), regYSize(), ElementSize);
+  }
+  /// registersPerThread() from the two register-tile products.
+  static unsigned registersPerThread(int64_t RegX, int64_t RegY,
+                                     unsigned ElementSize);
 
   /// Returns a copy with every tile clamped to the extents of \p TC. The
   /// emitted CUDA handles problem sizes smaller than the representative one
@@ -104,6 +124,19 @@ struct KernelConfig {
   /// [1, extent], and TBx led by the output FVI. Returns an empty string if
   /// valid, else a diagnostic.
   std::string validate(const ir::Contraction &TC) const;
+
+  /// The rules of validate() that concern one side's lists alone: index
+  /// names in 'a'..'z', each mapped at most once, tiles in [1, extent], the
+  /// side's index kind and owning input, and on the X side the output FVI
+  /// leading \p TB. For K, \p TB is TBk and \p Reg must be empty. Sides
+  /// that pass hold disjoint indices (X and Y externals of different
+  /// inputs, K internals), so a configuration is valid iff its three sides
+  /// are. validate() calls this per side; the enumerator calls it once per
+  /// partial configuration.
+  static std::string validateSide(const ir::Contraction &TC,
+                                  ir::Operand XInput, ConfigSide Side,
+                                  const std::vector<IndexTile> &TB,
+                                  const std::vector<IndexTile> &Reg);
 
   /// Compact human-readable rendering, e.g.
   /// "TBx[a:16] TBy[c:8,d:2] RegX[b:4] RegY[] TBk[e:8]".
